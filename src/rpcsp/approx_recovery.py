@@ -6,7 +6,9 @@ unit diagonal, entries in [-1,1], m2 PSD, and the bordered block
 backends produce one:
 
 - brute: exact moments of the uniform distribution over the argmax set of the
-  signed clause objective, for small n;
+  signed clause objective, for small n. The objective of every assignment is
+  one Walsh-Hadamard transform of the clause-mask histogram, and the moments
+  are a second transform, of the argmax indicator;
 - sdp_basic: low-rank coordinate ascent over unit vectors for arity 2,
   returning the Gram matrix with mu1 = 0;
 - kikuchi_spectral: top eigenvector of the level-l lift for even arity,
@@ -25,6 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, FormatError, ParameterError, UnsupportedConfigError
+from .fourier import walsh_hadamard
 from .instances import (
     Assignment,
     XorInstance,
@@ -55,8 +58,8 @@ class BackendChoice:
             raise ParameterError("rank must be >= 1")
         if self.iters < 1:
             raise ParameterError("iteration budget must be >= 1")
-        if not (1 <= self.assignment_cap <= 30):
-            raise ParameterError("assignment cap must be in 1..30")
+        if not (1 <= self.assignment_cap <= 26):
+            raise ParameterError("assignment cap must be in 1..26")
         if self.ell is not None and self.ell < 1:
             raise ParameterError("ell must be >= 1")
 
@@ -94,8 +97,9 @@ class PseudoExpectation:
             raise ParameterError("m2 diagonal must be 1")
         if np.abs(m2 - m2.T).max() > 1e-9:
             raise ParameterError("m2 must be symmetric")
-        if np.linalg.eigvalsh((m2 + m2.T) / 2).min() < -psd_tol:
-            raise ParameterError("m2 is not PSD within tolerance")
+        # One eigensolve covers both PSD conditions: m2 is a principal
+        # submatrix of the bordered block, so by Cauchy interlacing its
+        # smallest eigenvalue is at least the block's.
         block = np.empty((self.n + 1, self.n + 1))
         block[0, 0] = 1.0
         block[0, 1:] = mu1
@@ -128,49 +132,21 @@ def clause_objective(inst: XorInstance, m2: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # brute backend
 
-_CHUNK = 1 << 16
-
-
 def _clause_masks(inst: XorInstance) -> np.ndarray:
     """Per-clause parity bitmask; repeated indices cancel pairwise."""
-    bits = np.uint64(1) << (inst.scopes - 1).astype(np.uint64)
-    return np.bitwise_xor.reduce(bits, axis=1)
+    return np.bitwise_xor.reduce(1 << (inst.scopes - 1), axis=1)
 
 
-def _brute_scan(inst: XorInstance):
-    """Exact argmax of the signed clause objective over all assignments.
+def _brute_scan(inst: XorInstance) -> np.ndarray:
+    """Signed clause objective of every assignment, as an int32 table.
 
-    Assignment a encodes x_i = -1 iff bit i-1 of a is set. Returns
-    (best objective, list of argmax codes as uint64 arrays).
+    Assignment a encodes x_i = -1 iff bit i-1 of a is set. The objective is
+    one Walsh-Hadamard transform of the clause-mask histogram weighted by
+    rhs; |objective| <= m keeps it exact in int32.
     """
-    n = inst.n
-    masks = _clause_masks(inst)
-    rhs = inst.rhs.astype(np.int64)
-    total = 1 << n
-    best = None
-    for start in range(0, total, _CHUNK):
-        a = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        obj = np.zeros(a.size, dtype=np.int64)
-        for mask, b in zip(masks, rhs):
-            parity = (np.bitwise_count(a & mask) & np.uint64(1)).astype(np.int64)
-            obj += b * (1 - 2 * parity)
-        chunk_best = int(obj.max())
-        if best is None or chunk_best > best:
-            best = chunk_best
-    winners = []
-    for start in range(0, total, _CHUNK):
-        a = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        obj = np.zeros(a.size, dtype=np.int64)
-        for mask, b in zip(masks, rhs):
-            parity = (np.bitwise_count(a & mask) & np.uint64(1)).astype(np.int64)
-            obj += b * (1 - 2 * parity)
-        winners.append(a[obj == best])
-    return best, winners
-
-
-def _decode(codes: np.ndarray, n: int) -> np.ndarray:
-    bits = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+    table = np.zeros(1 << inst.n, dtype=np.int32)
+    np.add.at(table, _clause_masks(inst), inst.rhs)
+    return walsh_hadamard(table)
 
 
 def _brute_backend(inst: XorInstance, backend: BackendChoice) -> PseudoExpectation:
@@ -178,18 +154,17 @@ def _brute_backend(inst: XorInstance, backend: BackendChoice) -> PseudoExpectati
         raise UnsupportedConfigError(
             f"brute backend capped at n <= {backend.assignment_cap}, got n={inst.n}"
         )
-    best, winners = _brute_scan(inst)
-    count = sum(w.size for w in winners)
-    mu_sum = np.zeros(inst.n, dtype=np.float64)
-    m2_sum = np.zeros((inst.n, inst.n), dtype=np.float64)
-    for codes in winners:
-        if codes.size == 0:
-            continue
-        x = _decode(codes, inst.n).astype(np.float64)
-        mu_sum += x.sum(axis=0)
-        m2_sum += x.T @ x
-    mu1 = mu_sum / count
-    m2 = m2_sum / count
+    table = _brute_scan(inst)
+    best = int(table.max())
+    # Moments of the uniform distribution over the argmax set are the Walsh
+    # coefficients of its indicator at masks {i} and {i, j}; transforming the
+    # indicator in place keeps memory at the table however large the set is.
+    np.equal(table, best, out=table)
+    walsh_hadamard(table)
+    count = int(table[0])
+    bits = 1 << np.arange(inst.n)
+    mu1 = table[bits] / count
+    m2 = table[bits[:, None] ^ bits] / count
     return PseudoExpectation(
         inst.n, mu1, m2, backend="brute",
         info={"objective": best, "argmax_count": count},
@@ -290,17 +265,14 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Ps
     w = v * sqrt(dim) / np.linalg.norm(v)
 
     # Average w_S * w_T over the C(n-2, l-1) vertex pairs with S xor T = {i,j}.
+    # Row r of all_subsets has colex rank r, so w is already indexed by subset.
     subs = all_subsets(n, ell)
     table = _comb_table(n, ell)
-    ranks = subset_rank(subs, table)
-    vertex_vals = w[ranks]
     rows, cols, data = [], [], []
     for p in range(ell):
-        dropped = np.delete(subs, p, axis=1)
         rows.append(subs[:, p])
-        cols.append(subset_rank(dropped, table) if ell > 1
-                    else np.zeros(len(subs), dtype=np.int64))
-        data.append(vertex_vals)
+        cols.append(subset_rank(np.delete(subs, p, axis=1), table))
+        data.append(w)
     u = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, comb(n, ell - 1)),

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ell", type=int)
     s.add_argument("--rank", type=int)
     s.add_argument("--iters", type=int, default=200)
-    s.add_argument("--cap", type=int, default=24, help="brute backend variable cap")
+    s.add_argument("--cap", type=int, default=24, help="brute backend variable cap (at most 26)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--planted", help="planted assignment for the matched flag")
     s.add_argument("--plant", help="planting file enabling the CSP fast path")

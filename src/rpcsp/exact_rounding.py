@@ -55,6 +55,7 @@ def majority_round_detail(inst: XorInstance, x_tilde: Assignment):
 
     Algebraically identical to voting through build_cohyperedges: for a
     distinct-entry clause, rhs * prod_{j != i} x_j = rhs * prod_j x_j * x_i.
+    At arity 1 the vote is the clause's rhs whatever x_tilde is.
     """
     x_tilde = validate_assignment(x_tilde, inst.n)
     cleaned, dropped = clean(inst)

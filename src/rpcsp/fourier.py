@@ -68,23 +68,32 @@ class FourierTable:
             yield subset, float(self.values[mask])
 
 
+def walsh_hadamard(f: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a contiguous length-2^k array, in place.
+
+    Afterwards f[mask] = sum_idx f_old[idx] * (-1)^{popcount(mask & idx)}.
+    Each butterfly stage writes a+b and a-b exactly, so float input gives the
+    same bits as the textbook loop; it needs one half-size temporary.
+    """
+    h = 1
+    while h < f.size:
+        pairs = f.reshape(-1, 2, h)
+        a = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(a, pairs[:, 1], out=pairs[:, 1])
+        h *= 2
+    return f
+
+
 def fourier_table(q: PlantingDistribution) -> FourierTable:
     """All coefficients at once via the fast Walsh-Hadamard butterfly."""
     k = q.k
     f = np.zeros(1 << k, dtype=np.float64)
     for y, p in q.mass.items():
         f[int(pattern_index(np.array(y)))] += p
-    # After the butterfly, f[mask] = sum_y q(y) * (-1)^{popcount(mask & idx(y))},
-    # and the sign pattern convention makes that exactly the character sum.
-    h = 1
-    while h < len(f):
-        for start in range(0, len(f), 2 * h):
-            a = f[start : start + h].copy()
-            b = f[start + h : start + 2 * h].copy()
-            f[start : start + h] = a + b
-            f[start + h : start + 2 * h] = a - b
-        h *= 2
-    return FourierTable(k, f / (1 << k))
+    # The sign pattern convention makes the transformed entries exactly the
+    # character sums.
+    return FourierTable(k, walsh_hadamard(f) / (1 << k))
 
 
 def subsets_by_size(k: int):

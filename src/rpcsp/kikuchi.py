@@ -57,8 +57,30 @@ def subset_rank(elems: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def all_subsets(n: int, ell: int) -> np.ndarray:
-    """All l-subsets of {0..n-1} as a (C(n,l), l) array, lex order."""
-    return np.array(list(combinations(range(n), ell)), dtype=np.int64).reshape(-1, ell)
+    """All l-subsets of {0..n-1} as a (C(n,l), l) array in colex order.
+
+    Row r therefore has colex rank r. Colex order is lex order run backwards
+    on the complemented elements n-1-e.
+    """
+    lex = np.array(list(combinations(range(n), ell)), dtype=np.int64).reshape(comb(n, ell), ell)
+    return np.ascontiguousarray((n - 1 - lex[::-1])[:, ::-1])
+
+
+def _union_rank(a: list, w: list, table: np.ndarray) -> np.ndarray:
+    """Colex rank of the union of disjoint sorted sets A and W.
+
+    a and w list the sets' elements by position, as broadcastable arrays. An
+    element's position in the sorted union is its own index plus the number
+    of smaller elements in the other set, so no per-row sort is needed.
+    """
+    width = table.shape[1]
+    flat = table.ravel()
+    rank = 0
+    for part, other in ((a, w), (w, a)):
+        for i, e in enumerate(part):
+            pos = i + 1 + sum(o < e for o in other)
+            rank = rank + flat.take(e * width + pos)
+    return rank
 
 
 @dataclass
@@ -79,11 +101,7 @@ class KikuchiMatrix:
     def parity_vector(self, x: Assignment) -> np.ndarray:
         """z with z_S = prod_{i in S} x_i, indexed by colex rank."""
         x = validate_assignment(x, self.n)
-        subs = all_subsets(self.n, self.ell)
-        table = _comb_table(self.n, self.ell)
-        z = np.empty(self.num_vertices, dtype=np.int8)
-        z[subset_rank(subs, table)] = np.prod(x[subs], axis=1)
-        return z
+        return np.prod(x[all_subsets(self.n, self.ell)], axis=1, dtype=np.int8)
 
     def quadratic_form(self, x: Assignment) -> int:
         z = self.parity_vector(x).astype(np.int64)
@@ -108,47 +126,26 @@ def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_
     pairs_per_clause = comb(k, k // 2) * comb(inst.n - k, ell - k // 2)
 
     table = _comb_table(inst.n, ell)
-    if cleaned.m == 0:
-        mat = sp.csr_matrix((num_vertices, num_vertices), dtype=np.int64)
-        return KikuchiMatrix(inst.n, ell, k, mat, pairs_per_clause, num_vertices,
-                             0, inst.m)
-
-    sets = np.sort(cleaned.scopes, axis=1) - 1  # 0-based, sorted
+    # 0-based and sorted; int32 halves the per-entry element arrays gathered below.
+    sets = (np.sort(cleaned.scopes, axis=1) - 1).astype(np.int32)
     uniq, inverse = np.unique(sets, axis=0, return_inverse=True)
     weights = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(weights, inverse, cleaned.rhs.astype(np.int64))
 
-    half_choices = list(combinations(range(k), k // 2))
-    rows_parts, cols_parts, data_parts = [], [], []
-    if ell == k // 2:
-        # No complement padding: vectorize over clauses for each half split.
-        for half in half_choices:
-            rest = tuple(j for j in range(k) if j not in half)
-            s_rank = subset_rank(uniq[:, half], table)
-            t_rank = subset_rank(uniq[:, rest], table)
-            rows_parts.append(s_rank)
-            cols_parts.append(t_rank)
-            data_parts.append(weights)
-    else:
-        pad = ell - k // 2
-        for cset, w in zip(uniq, weights):
-            in_c = np.zeros(inst.n, dtype=bool)
-            in_c[cset] = True
-            complement = np.flatnonzero(~in_c)
-            for half in half_choices:
-                rest = tuple(j for j in range(k) if j not in half)
-                a = cset[list(half)]
-                b = cset[list(rest)]
-                for wpad in combinations(complement, pad):
-                    s = np.sort(np.concatenate([a, wpad]))
-                    t = np.sort(np.concatenate([b, wpad]))
-                    rows_parts.append(subset_rank(s[None, :], table))
-                    cols_parts.append(subset_rank(t[None, :], table))
-                    data_parts.append(np.array([w], dtype=np.int64))
-
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    data = np.concatenate(data_parts)
+    # Every entry at once: S = A + W, T = B + W for each half split (A, B) of
+    # each clause set and each pad W outside it, shaped (clause, split, pad).
+    half = k // 2
+    splits = np.array(list(combinations(range(k), half)), dtype=np.int64).reshape(-1, half)
+    # Complementing a half reverses lex order, so B's positions are the splits backwards.
+    rests = splits[::-1]
+    pads = np.array(list(combinations(range(inst.n - k), ell - half)),
+                    dtype=np.int64).reshape(comb(inst.n - k, ell - half), ell - half)
+    # The p-th element outside a sorted set c is p + #{j : c_j - j <= p}.
+    shift = (uniq - np.arange(k)).T
+    w = [(p + (shift[:, :, None] <= p).sum(axis=0))[:, None] for p in pads.T]
+    rows = _union_rank([uniq[:, j, None] for j in splits.T], w, table).ravel()
+    cols = _union_rank([uniq[:, j, None] for j in rests.T], w, table).ravel()
+    data = np.repeat(weights, len(splits) * len(pads))
     mat = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices),
                         dtype=np.int64).tocsr()
     mat.eliminate_zeros()

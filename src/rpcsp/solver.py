@@ -89,19 +89,6 @@ def _slice(inst: XorInstance, lo: int, hi: int) -> XorInstance:
     return XorInstance(inst.n, inst.k, inst.scopes[lo:hi], inst.rhs[lo:hi])
 
 
-def _majority_k1(inst: XorInstance) -> tuple[Assignment, dict]:
-    sums = np.zeros(inst.n, dtype=np.int64)
-    np.add.at(sums, inst.scopes[:, 0] - 1, inst.rhs.astype(np.int64))
-    counts = np.bincount(inst.scopes[:, 0] - 1, minlength=inst.n)
-    out = np.where(sums >= 0, 1, -1).astype(np.int8)
-    info = {
-        "empty_votes": int((counts == 0).sum()),
-        "tied_votes": int(((sums == 0) & (counts > 0)).sum()),
-        "min_margin": int(np.abs(sums[counts > 0]).min()) if (counts > 0).any() else 0,
-    }
-    return out, info
-
-
 def solve_xor(
     inst: XorInstance,
     ell: int | None,
@@ -122,7 +109,8 @@ def solve_xor(
     stats: dict = {"n": inst.n, "k": inst.k, "m": inst.m, "backend": backend.kind}
 
     if inst.k == 1:
-        out, info = _majority_k1(inst)
+        # An arity-1 vote is the clause's rhs whatever the assignment voted from.
+        out, info = majority_round_detail(inst, np.ones(inst.n, dtype=np.int8))
         stats["majority"] = info
         stats["value"] = value(inst, out)
         report = SolveReport(out, candidates=[out], stats=stats)

@@ -72,6 +72,26 @@ def naive_majority(inst, x_tilde):
     return out
 
 
+def naive_kikuchi(inst, ell):
+    """Dense level-ell Kikuchi matrix, one vertex pair at a time.
+
+    Vertices are the ell-subsets of {0..n-1} in colex order (compare largest
+    elements first). Entry (S, T) sums the rhs of every clause with distinct
+    entries whose 0-based index set equals S xor T.
+    """
+    verts = sorted(itertools.combinations(range(inst.n), ell), key=lambda s: s[::-1])
+    weight = {}
+    for row, b in zip(inst.scopes, inst.rhs):
+        c = frozenset(int(v) - 1 for v in row)
+        if len(c) == inst.k:
+            weight[c] = weight.get(c, 0) + int(b)
+    out = np.zeros((len(verts), len(verts)), dtype=np.int64)
+    for r, s in enumerate(verts):
+        for c, t in enumerate(verts):
+            out[r, c] = weight.get(frozenset(s) ^ frozenset(t), 0)
+    return out
+
+
 def random_planting(rng, k):
     """Random distribution over a random nonempty pattern subset."""
     patterns = list(itertools.product((-1, 1), repeat=k))

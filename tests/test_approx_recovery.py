@@ -120,6 +120,12 @@ def test_brute_respects_assignment_cap():
             inst, BackendChoice.brute(assignment_cap=10), 0)
 
 
+def test_brute_assignment_cap_ceiling():
+    assert BackendChoice.brute(assignment_cap=26).assignment_cap == 26
+    with pytest.raises(ParameterError):
+        BackendChoice.brute(assignment_cap=27)
+
+
 # ------------------------------------------------------------------------- sdp
 
 def test_sdp_requires_pair_arity():

@@ -218,6 +218,18 @@ def test_bad_parameter_exits_one(tmp_path):
     assert code == 1
 
 
+def test_brute_cap_above_ceiling_exits_one(tmp_path, capsys):
+    gen = str(tmp_path / "g")
+    _run(["generate", "xor", "--n", "10", "--k", "2", "--m", "20",
+          "--eps", "0.5", "--seed", "1", "--out", gen])
+    capsys.readouterr()
+    code = _run(["solve", "--in", gen + ".xor", "--backend", "brute",
+                 "--cap", "27", "--seed", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "1..26" in err
+
+
 def test_unknown_flag_exits_one():
     assert _run(["generate", "xor", "--frobnicate"]) == 1
 

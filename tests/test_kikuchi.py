@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from _oracles import brute_max_advantage
+from _oracles import brute_max_advantage, naive_kikuchi
 from rpcsp import (
     ConvergenceError,
     ParameterError,
@@ -45,6 +45,8 @@ def test_subset_rank_is_colex_position():
     ranks = subset_rank(subs, table)
     # ranks are a bijection onto 0..C(6,3)-1
     assert sorted(ranks.tolist()) == list(range(math.comb(6, 3)))
+    # all_subsets enumerates in colex order, so row r has rank r
+    assert np.array_equal(ranks, np.arange(math.comb(6, 3)))
     # colex rank = sum_j C(e_j, j+1) over sorted 0-based elements
     for row, r in zip(subs, ranks):
         expected = sum(math.comb(int(e), j + 1) for j, e in enumerate(sorted(row)))
@@ -86,6 +88,40 @@ def test_duplicate_clauses_accumulate_weight():
     kik = build_kikuchi(XorInstance(3, 2, scopes, rhs), 1)
     assert kik.matrix[0, 1] == 1  # +1 +1 -1
     assert kik.used_clauses == 3
+
+
+# (k, n, ell): pad ell - k/2 of 0, 1 and >= 2, and the boundary pad = n - k
+NAIVE_CASES = [
+    (2, 6, 1), (2, 6, 2), (2, 7, 3), (2, 5, 4),
+    (4, 7, 2), (4, 7, 3), (4, 8, 4), (4, 6, 4),
+    (6, 8, 3), (6, 8, 4), (6, 9, 5), (6, 8, 5),
+]
+
+
+@pytest.mark.parametrize("k,n,ell", NAIVE_CASES)
+def test_build_kikuchi_matches_naive_oracle(k, n, ell):
+    inst = _random_signs_instance(n, 3 * n, k, cell_seed(310, k, n, ell))
+    # the clause set {1..k} twice in different orders, and a repeated-entry clause
+    extra = np.array([range(1, k + 1), range(k, 0, -1), [1] * k], dtype=np.int64)
+    scopes = np.concatenate([inst.scopes, extra])
+    rhs = np.concatenate([inst.rhs, np.array([1, 1, -1], dtype=np.int8)])
+    inst = XorInstance(n, k, scopes, rhs)
+    kik = build_kikuchi(inst, ell)
+    assert np.array_equal(kik.matrix.toarray(), naive_kikuchi(inst, ell))
+    kept, _ = clean(inst)
+    assert kik.used_clauses == kept.m and kik.dropped_clauses == inst.m - kept.m
+    assert kik.dropped_clauses >= 1
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_build_kikuchi_all_clauses_dropped_matches_oracle(k):
+    n = k + 2
+    scopes = np.array([[1] * k, [2, 2] + list(range(3, k + 1))], dtype=np.int64)
+    inst = XorInstance(n, k, scopes, np.array([1, -1], dtype=np.int8))
+    kik = build_kikuchi(inst, k // 2 + 1)
+    assert kik.matrix.nnz == 0
+    assert np.array_equal(kik.matrix.toarray(), naive_kikuchi(inst, k // 2 + 1))
+    assert kik.used_clauses == 0 and kik.dropped_clauses == 2
 
 
 def test_quadratic_form_identity_random():
