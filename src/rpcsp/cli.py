@@ -152,11 +152,11 @@ def _backend_from_args(args) -> BackendChoice:
 
 
 def _read_instance(path: str):
-    with open(path) as f:
-        head = f.readline().split()
-    if head and head[0] == "xor":
+    with open(path, "rb") as f:
+        kind = f.readline().split()[:1]
+    if kind == [b"xor"]:
         return read_xor(path)
-    if head and head[0] == "csp":
+    if kind == [b"csp"]:
         return read_csp(path)
     raise FormatError(f"{path}: unrecognized instance header")
 

@@ -12,8 +12,11 @@ sum_j 2^(j-1)*[y_j == -1], so the all-plus pattern is index 0.
 from __future__ import annotations
 
 import os
+import re
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -230,6 +233,11 @@ def value(inst, x: Assignment) -> float:
 # predicates, planting distributions, CSP instances
 
 
+def _check_arity(k: int, what: str):
+    if not (1 <= k <= 20):
+        raise ParameterError(f"{what} arity must be in 1..20")
+
+
 @dataclass(frozen=True)
 class CspPredicate:
     """k-ary Boolean predicate as a dense truth table.
@@ -241,8 +249,7 @@ class CspPredicate:
     table: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.k <= 20):
-            raise ParameterError("predicate arity must be in 1..20")
+        _check_arity(self.k, "predicate")
         t = np.asarray(self.table)
         if t.shape != (1 << self.k,) or not np.isin(t, (0, 1)).all():
             raise ParameterError("truth table must be 2^k entries of 0/1")
@@ -266,6 +273,7 @@ class CspPredicate:
 
     @classmethod
     def from_hex(cls, k: int, hex_str: str) -> "CspPredicate":
+        _check_arity(k, "predicate")  # before the 2^k-bit table is allocated
         try:
             bits = int(hex_str, 16)
         except ValueError as e:
@@ -304,8 +312,7 @@ class PlantingDistribution:
     mass: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (1 <= self.k <= 20):
-            raise ParameterError("planting arity must be in 1..20")
+        _check_arity(self.k, "planting")
         norm = {}
         for y, p in self.mass.items():
             y = tuple(int(v) for v in y)
@@ -442,51 +449,121 @@ def sample_planted_csp(
 
 # ---------------------------------------------------------------------------
 # file formats
+#
+# Instance and assignment files are ASCII text: an optional header line, then
+# a body of decimal integers with an optional sign, separated by whitespace.
+# One codec moves every body between a (rows, fields) int array and text, with
+# no Python object per token: the writer formats row chunks with one % each,
+# the reader parses with np.fromstring.
 
 _TMP_SUFFIX = ".tmp"
+# Rows formatted per % call; bounds the tuple and string built per chunk.
+_WRITE_CHUNK_ROWS = 1 << 14
+# Body bytes by class: whitespace (what str.split() skips on ASCII text) to
+# b" ", digits and signs unchanged, anything else to b"x".
+_NORMALIZE = bytes(
+    c if chr(c) in "0123456789+-" else ord(" ") if c < 128 and chr(c).isspace() else ord("x")
+    for c in range(256)
+)
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
+_INT64 = np.iinfo(np.int64)
+
+
+@contextmanager
+def _atomic_open(path: str, mode: str = "w"):
+    tmp = path + _TMP_SUFFIX
+    with open(tmp, mode) as f:
+        yield f
+    os.replace(tmp, path)
 
 
 def atomic_write_text(path: str, text: str):
-    tmp = path + _TMP_SUFFIX
-    with open(tmp, "w") as f:
+    with _atomic_open(path) as f:
         f.write(text)
-    os.replace(tmp, path)
 
 
 def atomic_write_bytes(path: str, data: bytes):
-    tmp = path + _TMP_SUFFIX
-    with open(tmp, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(data)
-    os.replace(tmp, path)
 
 
-def _parse_ints(tokens, what: str) -> np.ndarray:
+def _write_rows(path: str, header: str, rows: np.ndarray, line_fmt: str):
+    """Write `header`, then `line_fmt % row` for each row of an int array."""
+    with _atomic_open(path) as f:
+        f.write(header)
+        for start in range(0, rows.shape[0], _WRITE_CHUNK_ROWS):
+            chunk = rows[start:start + _WRITE_CHUNK_ROWS]
+            f.write((line_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
+def _parse_ints(text: bytes, what: str) -> np.ndarray:
+    """The whitespace-separated integers in `text`, as split() and int() read them.
+
+    np.fromstring parses in C, and the checks around it close its gaps. It
+    reads a bare sign as part of the next token, a trailing one as 0 and
+    all-whitespace text as [0], and it saturates on overflow. Where NumPy 2
+    raises on unparsable text, NumPy 1 warns and returns the values before
+    it. The byte checks and the token count reject all of these on either.
+    """
+    text = text.translate(_NORMALIZE)
+    c = np.frombuffer(text, dtype=np.uint8)
+    space = c == ord(" ")
+    sign = (c == ord("+")) | (c == ord("-"))
+    if b"x" in text or sign[-1:].any() or (sign[1:] & ~space[:-1]).any():
+        raise FormatError(f"non-integer token in {what}")
+    tokens = int(np.count_nonzero(space[:-1] & ~space[1:])) + int(c.size > 0 and not space[0])
+    if tokens == 0:
+        return np.zeros(0, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
+        except ValueError as e:
+            raise FormatError(f"non-integer token in {what}") from e
+    if values.size != tokens:
+        raise FormatError(f"non-integer token in {what}")
+    if values.max() == _INT64.max or values.min() == _INT64.min:
+        # Saturation looks like a token at the limit; only an exact parse tells.
+        try:
+            values = np.array([int(t) for t in text.split()], dtype=np.int64)
+        except OverflowError as e:
+            raise FormatError(f"integer beyond int64 in {what}") from e
+    return values
+
+
+def _read_clauses(
+    path: str, usage: str, width: Callable[[int], int]
+) -> tuple[list[str], int, int, np.ndarray]:
+    """Header tokens, n, k and the (m, width(k)) body of an instance file.
+
+    The header is checked against `usage`, e.g. 'xor <n> <m> <k>'.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    end = _FIRST_LINE.match(data).end()
     try:
-        return np.array([int(t) for t in tokens], dtype=np.int64)
-    except ValueError as e:
-        raise FormatError(f"non-integer token in {what}") from e
+        head = data[:end].decode("ascii").split()
+    except UnicodeDecodeError:
+        head = []
+    expected = usage.split()
+    if len(head) != len(expected) or head[0] != expected[0]:
+        raise FormatError(f"expected header '{usage}'")
+    n, m, k = _parse_ints(" ".join(head[1:4]).encode(), f"{head[0]} header").tolist()
+    if m < 1 or k < 1:
+        raise FormatError("instance must have m >= 1 clauses of arity k >= 1")
+    flat = _parse_ints(data[end:], f"{head[0]} clause")
+    if flat.size != m * width(k):
+        raise FormatError(f"expected {m * width(k)} body tokens, found {flat.size}")
+    return head, n, k, flat.reshape(m, width(k))
 
 
 def write_xor(inst: XorInstance, path: str):
-    lines = [f"xor {inst.n} {inst.m} {inst.k}"]
-    for row, b in zip(inst.scopes, inst.rhs):
-        lines.append(f"{int(b):+d} " + " ".join(str(int(i)) for i in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.column_stack([inst.rhs, inst.scopes])
+    _write_rows(path, f"xor {inst.n} {inst.m} {inst.k}\n", rows, "%+d" + " %d" * inst.k + "\n")
 
 
 def read_xor(path: str) -> XorInstance:
-    with open(path) as f:
-        header = f.readline().split()
-        body = f.read().split()
-    if len(header) != 4 or header[0] != "xor":
-        raise FormatError("expected header 'xor <n> <m> <k>'")
-    n, m, k = (int(t) for t in header[1:])
-    if m < 1:
-        raise FormatError("instance must have m >= 1 clauses")
-    if len(body) != m * (k + 1):
-        raise FormatError(f"expected {m * (k + 1)} body tokens, found {len(body)}")
-    flat = _parse_ints(body, "xor clause")
-    rows = flat.reshape(m, k + 1)
+    _, n, k, rows = _read_clauses(path, "xor <n> <m> <k>", lambda k: k + 1)
     rhs = rows[:, 0]
     if not np.isin(rhs, (-1, 1)).all():
         raise FormatError("clause rhs must be +-1")
@@ -497,47 +574,32 @@ def read_xor(path: str) -> XorInstance:
 
 
 def write_csp(inst: CspInstance, path: str):
-    lines = [f"csp {inst.n} {inst.m} {inst.k} {inst.predicate.to_hex()}"]
-    for row, neg in zip(inst.scopes, inst.negations):
-        lines.append(" ".join(f"{int(i)} {int(s):+d}" for i, s in zip(row, neg)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = np.stack([inst.scopes, inst.negations], axis=2).reshape(inst.m, 2 * inst.k)
+    header = f"csp {inst.n} {inst.m} {inst.k} {inst.predicate.to_hex()}\n"
+    _write_rows(path, header, rows, " ".join(["%d %+d"] * inst.k) + "\n")
 
 
 def read_csp(path: str) -> CspInstance:
-    with open(path) as f:
-        header = f.readline().split()
-        body = f.read().split()
-    if len(header) != 5 or header[0] != "csp":
-        raise FormatError("expected header 'csp <n> <m> <k> <truth_table_hex>'")
-    n, m, k = (int(t) for t in header[1:4])
-    if m < 1:
-        raise FormatError("instance must have m >= 1 clauses")
-    pred = CspPredicate.from_hex(k, header[4])
-    if len(body) != m * 2 * k:
-        raise FormatError(f"expected {m * 2 * k} body tokens, found {len(body)}")
-    flat = _parse_ints(body, "csp clause")
-    rows = flat.reshape(m, 2 * k)
-    scopes = rows[:, 0::2]
+    head, n, k, rows = _read_clauses(path, "csp <n> <m> <k> <truth_table_hex>", lambda k: 2 * k)
     negs = rows[:, 1::2]
     if not np.isin(negs, (-1, 1)).all():
         raise FormatError("literal negations must be +-1")
     try:
-        return CspInstance(n, pred, scopes, negs)
+        return CspInstance(n, CspPredicate.from_hex(k, head[4]), rows[:, 0::2], negs)
     except ParameterError as e:
         raise FormatError(str(e)) from e
 
 
 def write_assignment(x: Assignment, path: str):
     x = validate_assignment(x)
-    atomic_write_text(path, " ".join(f"{int(v):+d}" for v in x) + "\n")
+    _write_rows(path, "", x[None, :], " ".join(["%+d"] * x.size) + "\n")
 
 
 def read_assignment(path: str) -> Assignment:
-    with open(path) as f:
-        tokens = f.read().split()
-    if not tokens:
+    with open(path, "rb") as f:
+        vals = _parse_ints(f.read(), "assignment")
+    if vals.size == 0:
         raise FormatError("empty assignment file")
-    vals = _parse_ints(tokens, "assignment")
     if not np.isin(vals, (-1, 1)).all():
         raise FormatError("assignment entries must be +-1")
     return vals.astype(np.int8)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from rpcsp import CspInstance, CspPredicate, FormatError, ParameterError, XorInstance
+
 
 def enumerate_assignments(n):
     """All 2^n sign vectors, one per row; bit b of the row index gives x_{b+1}."""
@@ -99,3 +101,91 @@ def random_planting(rng, k):
     chosen = rng.choice(len(patterns), size=size, replace=False)
     weights = rng.dirichlet(np.ones(size))
     return {patterns[int(c)]: float(w) for c, w in zip(chosen, weights)}
+
+
+# ---------------------------------------------------------------------------
+# text file formats, one Python str and int per token
+
+
+def naive_write_xor(inst, path):
+    lines = [f"xor {inst.n} {inst.m} {inst.k}"]
+    for row, b in zip(inst.scopes, inst.rhs):
+        lines.append(f"{int(b):+d} " + " ".join(str(int(i)) for i in row))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def naive_write_csp(inst, path):
+    lines = [f"csp {inst.n} {inst.m} {inst.k} {inst.predicate.to_hex()}"]
+    for row, neg in zip(inst.scopes, inst.negations):
+        lines.append(" ".join(f"{int(i)} {int(s):+d}" for i, s in zip(row, neg)))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def naive_write_assignment(x, path):
+    with open(path, "w") as f:
+        f.write(" ".join(f"{int(v):+d}" for v in x) + "\n")
+
+
+def _naive_ints(tokens, what):
+    # OverflowError too: np.array raises it for an int beyond int64, where the
+    # package reader (and the grammar) report a FormatError.
+    try:
+        return np.array([int(t) for t in tokens], dtype=np.int64)
+    except (ValueError, OverflowError) as e:
+        raise FormatError(f"non-integer token in {what}") from e
+
+
+def naive_read_xor(path):
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().split()
+        body = f.read().split()
+    if len(header) != 4 or header[0] != "xor":
+        raise FormatError("expected header 'xor <n> <m> <k>'")
+    n, m, k = (int(t) for t in header[1:])
+    if m < 1:
+        raise FormatError("instance must have m >= 1 clauses")
+    if len(body) != m * (k + 1):
+        raise FormatError(f"expected {m * (k + 1)} body tokens, found {len(body)}")
+    rows = _naive_ints(body, "xor clause").reshape(m, k + 1)
+    rhs = rows[:, 0]
+    if not np.isin(rhs, (-1, 1)).all():
+        raise FormatError("clause rhs must be +-1")
+    try:
+        return XorInstance(n, k, rows[:, 1:], rhs)
+    except ParameterError as e:
+        raise FormatError(str(e)) from e
+
+
+def naive_read_csp(path):
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().split()
+        body = f.read().split()
+    if len(header) != 5 or header[0] != "csp":
+        raise FormatError("expected header 'csp <n> <m> <k> <truth_table_hex>'")
+    n, m, k = (int(t) for t in header[1:4])
+    if m < 1:
+        raise FormatError("instance must have m >= 1 clauses")
+    pred = CspPredicate.from_hex(k, header[4])
+    if len(body) != m * 2 * k:
+        raise FormatError(f"expected {m * 2 * k} body tokens, found {len(body)}")
+    rows = _naive_ints(body, "csp clause").reshape(m, 2 * k)
+    negs = rows[:, 1::2]
+    if not np.isin(negs, (-1, 1)).all():
+        raise FormatError("literal negations must be +-1")
+    try:
+        return CspInstance(n, pred, rows[:, 0::2], negs)
+    except ParameterError as e:
+        raise FormatError(str(e)) from e
+
+
+def naive_read_assignment(path):
+    with open(path, encoding="utf-8") as f:
+        tokens = f.read().split()
+    if not tokens:
+        raise FormatError("empty assignment file")
+    vals = _naive_ints(tokens, "assignment")
+    if not np.isin(vals, (-1, 1)).all():
+        raise FormatError("assignment entries must be +-1")
+    return vals.astype(np.int8)

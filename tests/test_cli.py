@@ -212,6 +212,33 @@ def test_malformed_file_exits_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name,content", [
+    ("bad.xor", b"xor a 1 2\n+1 1 2\n"),
+    ("bad.xor", b"\x89PNG\r\n\x1a\n\x00\x00\xff\xfe"),
+    ("bad.csp", b"csp 3 1 1 2\n1 \xff\n"),
+])
+def test_corrupt_instance_exits_two_without_traceback(tmp_path, capsys, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    code = _run(["solve", "--in", str(bad), "--backend", "brute",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_binary_planted_assignment_exits_two_without_traceback(tmp_path, capsys):
+    gen = str(tmp_path / "g")
+    _run(["generate", "xor", "--n", "10", "--k", "2", "--m", "20",
+          "--eps", "0.5", "--seed", "1", "--out", gen])
+    bad = tmp_path / "bad.assign"
+    bad.write_bytes(b"\xff\xfe+\x001")
+    capsys.readouterr()
+    code = _run(["solve", "--in", gen + ".xor", "--backend", "brute",
+                 "--planted", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bad_parameter_exits_one(tmp_path):
     code = _run(["generate", "xor", "--n", "10", "--k", "2", "--m", "10",
                  "--eps", "0.9", "--out", str(tmp_path / "o")])

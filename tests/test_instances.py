@@ -1,6 +1,18 @@
 """Tests for assignments, samplers, predicates, plantings, and file formats."""
+import re
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from _oracles import (
+    naive_read_assignment,
+    naive_read_csp,
+    naive_read_xor,
+    naive_write_assignment,
+    naive_write_csp,
+    naive_write_xor,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +34,7 @@ from rpcsp import (
     value,
 )
 from rpcsp.instances import (
+    _WRITE_CHUNK_ROWS,
     all_patterns,
     index_to_pattern,
     pattern_index,
@@ -360,6 +373,19 @@ def test_read_xor_rejects_malformed(tmp_path):
     bad.write_text("csp 5 1 2\n")
     with pytest.raises(FormatError):
         read_xor(str(bad))
+    bad.write_text("xor a 1 2\n+1 1 2\n")  # non-integer header count
+    with pytest.raises(FormatError):
+        read_xor(str(bad))
+    bad.write_text("xor 5 1 -1\n")  # arity -1 asks for an empty body
+    with pytest.raises(FormatError):
+        read_xor(str(bad))
+
+
+def test_read_csp_rejects_arity_before_allocating_truth_table(tmp_path):
+    bad = tmp_path / "bad.csp"
+    bad.write_text("csp 5 1 40 1\n" + "1 +1 " * 40 + "\n")  # 2^40 table bits
+    with pytest.raises(FormatError, match="1..20"):
+        read_csp(str(bad))
 
 
 def test_read_assignment_rejects_zero(tmp_path):
@@ -367,3 +393,201 @@ def test_read_assignment_rejects_zero(tmp_path):
     bad.write_text("1 0 -1\n")
     with pytest.raises(FormatError):
         read_assignment(str(bad))
+
+
+@pytest.mark.parametrize("reader", [read_xor, read_csp, read_assignment])
+@pytest.mark.parametrize("content", [
+    b"\x89PNG\r\n\x1a\n\x00\x00\xff\xfe",
+    b"xor 3 1 1\n+1 \xff\n",
+    b"csp 3 1 1 2\n1 \xc3\xa9\n",
+    "xor 3 1 1\n+1 \u0663\n".encode(),  # a non-ASCII digit, which int() accepts
+    "xor\u00a03 1 1\n+1 1\n".encode(),  # a non-ASCII space, which split() skips
+])
+def test_readers_reject_non_ascii_files(tmp_path, reader, content):
+    path = tmp_path / "bad"
+    path.write_bytes(content)
+    with pytest.raises(FormatError):
+        reader(str(path))
+
+
+# ------------------------------------------------ codec against the oracles
+
+def _same_bytes(write, naive_write, obj, tmp_path):
+    write(obj, str(tmp_path / "new"))
+    naive_write(obj, str(tmp_path / "old"))
+    return (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (37, 3), (_WRITE_CHUNK_ROWS + 1, 2)])
+def test_write_xor_matches_oracle_bytes(tmp_path, m, k):
+    inst = sample_planted_xor(random_assignment(300, m), m, k, 0.3, m)
+    assert _same_bytes(write_xor, naive_write_xor, inst, tmp_path)
+
+
+def test_write_xor_empty_instance_matches_oracle_bytes(tmp_path):
+    inst = XorInstance(5, 2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int8))
+    assert _same_bytes(write_xor, naive_write_xor, inst, tmp_path)
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (25, 3), (_WRITE_CHUNK_ROWS + 1, 2)])
+def test_write_csp_matches_oracle_bytes(tmp_path, m, k):
+    pred = CspPredicate.k_sat(k)
+    q = PlantingDistribution.uniform_satisfying(pred)
+    psi = sample_planted_csp(random_assignment(120, m), m, pred, q, m)
+    assert _same_bytes(write_csp, naive_write_csp, psi, tmp_path)
+
+
+@pytest.mark.parametrize("n", [1, 17, 300])
+def test_write_assignment_matches_oracle_bytes(tmp_path, n):
+    assert _same_bytes(write_assignment, naive_write_assignment, random_assignment(n, n), tmp_path)
+
+
+@pytest.fixture(scope="module")
+def codec_path(tmp_path_factory):
+    """One file for the reader comparisons; module-scoped so @given can use it."""
+    return tmp_path_factory.mktemp("codec") / "f"
+
+
+def _outcome(reader, content, path):
+    """What a reader makes of `content` in `path`: its arrays, or FormatError."""
+    path.write_bytes(content.encode())
+    try:
+        got = reader(str(path))
+    except FormatError:
+        return "FormatError"
+    if isinstance(got, np.ndarray):
+        return got.tolist()
+    extra = got.rhs if isinstance(got, XorInstance) else got.negations
+    return got.n, got.k, got.scopes.tolist(), extra.tolist()
+
+
+def _headed(kind, body):
+    """A one-variable-per-clause file whose header m fits the body's token count."""
+    m = max(1, len(body.split()) // 2)
+    header = f"xor 9 {m} 1" if kind == "xor" else f"csp 9 {m} 1 2"
+    return header + "\n" + body
+
+
+_READERS = {
+    "xor": (read_xor, naive_read_xor),
+    "csp": (read_csp, naive_read_csp),
+    "assign": (read_assignment, naive_read_assignment),
+}
+_FRAGMENTS = ["+1", "-1", "1", "2", "9", "0", "007", "+", "-", "--1", "+-1", "1-2",
+              "1.5", "1e3", "0x1", "x", ".", "99999999999999999999",
+              "9223372036854775807", "-9223372036854775808"]
+_GAPS = ["", " ", "  ", "\t", "\n", " \n\t"]
+_SIGNS = ["+1", "-1", "1", "+0001"]  # +-1 in every reader's every field
+
+
+def _joined(gaps, fragments):
+    return st.lists(st.tuples(st.sampled_from(gaps), st.sampled_from(fragments)), max_size=8).map(
+        lambda parts: "".join(gap + frag for gap, frag in parts))
+
+
+_BODIES = st.one_of(
+    st.text(alphabet="0123456789+- \t\n.ex", max_size=30),
+    _joined(_GAPS, _FRAGMENTS),
+    _joined(_GAPS[1:], _SIGNS),
+    _joined(_GAPS[1:] * 4 + _GAPS, _SIGNS * 4 + _FRAGMENTS),
+)
+
+
+_REAL_FROMSTRING = np.fromstring
+_INT_PREFIX = re.compile(rb"[+-]?[0-9]+")
+
+
+def _numpy1_fromstring(text, dtype, sep):
+    """np.fromstring as NumPy 1.x runs it: where 2.x raises on unmatched
+    data, 1.x warns and returns the values read before it."""
+    try:
+        return _REAL_FROMSTRING(text, dtype=dtype, sep=sep)
+    except ValueError:
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+    values = []
+    for token in text.split():
+        match = _INT_PREFIX.match(token)
+        if match:
+            values.append(int(match.group()))
+        if match is None or match.end() < len(token):
+            break
+    return np.array(values, dtype=dtype)
+
+
+def _assert_matches_oracle(kind, body, path):
+    """The reader agrees with the split()/int() oracle, on this NumPy and as
+    NumPy 1.x would parse, and lets no warning out."""
+    content = body if kind == "assign" else _headed(kind, body)
+    new, old = _READERS[kind]
+    expected = _outcome(old, content, path)
+    assert _outcome(new, content, path) == expected
+    with mock.patch.object(np, "fromstring", _numpy1_fromstring), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(new, content, path) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_READERS)), body=_BODIES)
+def test_readers_match_split_int_oracle(codec_path, kind, body):
+    _assert_matches_oracle(kind, body, codec_path)
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@pytest.mark.parametrize("body", [
+    "+1 + 1 2",  # a bare sign merges with the next token in np.fromstring
+    " \n\t \n",  # all whitespace parses as [0] in np.fromstring
+    "+1 99999999999999999999",  # overflow saturates in np.fromstring
+    "+1 1.5",
+    "--1 1",
+    "+1 1 -",
+    "+1 1-2",  # NumPy 1.x returns [1, 1] and a warning
+    "+1 1x",
+    "+1 3 -1 9",
+])
+def test_readers_match_oracle_on_named_cases(codec_path, kind, body):
+    _assert_matches_oracle(kind, body, codec_path)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_readers_match_oracle_on_line_endings(codec_path, eol):
+    for kind, body in (("xor", "+1 3 -1 9"), ("csp", "3 +1 9 -1")):
+        content = _headed(kind, body).replace("\n", eol) + eol
+        new, old = _READERS[kind]
+        expected = _outcome(old, content, codec_path)
+        assert expected != "FormatError"
+        assert _outcome(new, content, codec_path) == expected
+
+
+def test_read_xor_keeps_integers_at_the_int64_limit(codec_path):
+    top = np.iinfo(np.int64).max
+    for token, expected in ((f"{top}", (top, 1, [[top]], [1])),
+                            (f"{top + 1}", "FormatError"),
+                            (f"-{top + 2}", "FormatError")):
+        content = f"xor {top} 1 1\n+1 {token}\n"
+        assert _outcome(read_xor, content, codec_path) == expected
+        assert _outcome(naive_read_xor, content, codec_path) == expected
+
+
+@pytest.mark.parametrize("token", ["0_1", "\u0663"])
+def test_grammar_rejects_tokens_int_accepts(codec_path, token):
+    content = _headed("xor", f"+1 {token}")
+    assert _outcome(naive_read_xor, content, codec_path) != "FormatError"
+    assert _outcome(read_xor, content, codec_path) == "FormatError"
+
+
+def test_partial_parse_is_rejected_without_warning(tmp_path):
+    """A fromstring that warns and stops early, as NumPy 1.x does on
+    unmatched data, yields a FormatError and no warning."""
+    def truncating_fromstring(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return _REAL_FROMSTRING(text, dtype=dtype, sep=sep)[:-1]
+
+    x = random_assignment(8, 1)
+    write_xor(sample_planted_xor(x, 5, 2, 0.5, 1), str(tmp_path / "a.xor"))
+    write_assignment(x, str(tmp_path / "a.assign"))
+    with mock.patch.object(np, "fromstring", truncating_fromstring), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError):
+            read_xor(str(tmp_path / "a.xor"))
+        with pytest.raises(FormatError):
+            read_assignment(str(tmp_path / "a.assign"))
