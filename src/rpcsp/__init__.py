@@ -14,23 +14,15 @@ from .errors import (
     ResourceLimitError,
     UnsupportedConfigError,
 )
-from .exact_rounding import CoHyperedgeIndex, build_cohyperedges, majority_round
-from .fourier import (
-    FourierTable,
-    distribution_complexity,
-    fourier_coefficient,
-    fourier_table,
-    verify_nontrivial,
-)
+from .exact_rounding import majority_round
+from .fourier import FourierTable, distribution_complexity, fourier_table
 from .instances import (
     CspInstance,
     CspPredicate,
     PlantingDistribution,
-    Scope,
     XorInstance,
     clean,
     corr,
-    evaluate_xor_clause,
     random_assignment,
     sample_planted_csp,
     sample_planted_xor,
@@ -38,7 +30,7 @@ from .instances import (
     value,
 )
 from .kikuchi import KikuchiMatrix, build_kikuchi, refutation_certificate, spectral_norm
-from .reduction import build_xor_side, restrict
+from .reduction import build_xor_side
 from .solver import SolveReport, pair_to_even, solve_csp, solve_xor
 
 __version__ = "0.1.0"

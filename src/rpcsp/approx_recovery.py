@@ -26,15 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, FormatError, ParameterError, UnsupportedConfigError
+from .errors import ConvergenceError, ParameterError, UnsupportedConfigError
 from .fourier import walsh_hadamard
-from .instances import (
-    Assignment,
-    XorInstance,
-    atomic_write_text,
-    sign_round,
-    validate_assignment,
-)
+from .instances import Assignment, XorInstance, sign_round, validate_assignment
 from .kikuchi import _comb_table, all_subsets, build_kikuchi, subset_rank
 from .rng import STREAM_BACKEND, check_seed, derived_rng
 
@@ -332,37 +326,3 @@ def round_even_detail(pe: PseudoExpectation, agreement_fraction: float = 0.99):
 def round_even(pe: PseudoExpectation, agreement_fraction: float = 0.99) -> Assignment:
     x, _, _ = round_even_detail(pe, agreement_fraction)
     return x
-
-
-# ---------------------------------------------------------------------------
-# surrogate dump format
-
-
-def write_pexp(pe: PseudoExpectation, path: str):
-    lines = [f"pexp {pe.n}"]
-    lines.append(" ".join(f"{v:.17g}" for v in np.asarray(pe.mu1, dtype=np.float64)))
-    for row in np.asarray(pe.m2, dtype=np.float64):
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_pexp(path: str) -> PseudoExpectation:
-    with open(path) as f:
-        header = f.readline().split()
-        rows = [line.split() for line in f if line.strip()]
-    if len(header) != 2 or header[0] != "pexp":
-        raise FormatError("expected header 'pexp <n>'")
-    try:
-        n = int(header[1])
-    except ValueError as e:
-        raise FormatError("bad n in pexp header") from e
-    if len(rows) != n + 1:
-        raise FormatError(f"expected mu1 plus {n} matrix rows")
-    try:
-        mu1 = np.array([float(t) for t in rows[0]], dtype=np.float64)
-        m2 = np.array([[float(t) for t in row] for row in rows[1:]], dtype=np.float64)
-    except ValueError as e:
-        raise FormatError("non-numeric token in pexp body") from e
-    if mu1.shape != (n,) or m2.shape != (n, n):
-        raise FormatError("pexp body shapes do not match header")
-    return PseudoExpectation(n, mu1, m2, backend="file")

@@ -8,53 +8,16 @@ votes resolve to +1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ParameterError
-from .instances import Assignment, Scope, XorInstance, clean, validate_assignment
-
-
-@dataclass
-class CoHyperedgeIndex:
-    """Per-variable vote lists: entries are (co-scope, rhs) pairs."""
-
-    n: int
-    k: int
-    lists: list
-
-    def votes(self, i: int, x_tilde: Assignment) -> np.ndarray:
-        """Vote multiset for variable i under the approximate assignment."""
-        x = np.asarray(x_tilde)
-        out = np.empty(len(self.lists[i - 1]), dtype=np.int8)
-        for t, (co, b) in enumerate(self.lists[i - 1]):
-            prod = 1
-            for j in co.indices:
-                prod *= int(x[j - 1])
-            out[t] = b * prod
-        return out
-
-
-def build_cohyperedges(inst: XorInstance) -> CoHyperedgeIndex:
-    """Materialized index over the distinct-entry clauses of inst."""
-    if inst.k < 2:
-        raise ParameterError("co-hyperedges need arity >= 2")
-    cleaned, _ = clean(inst)
-    lists: list[list] = [[] for _ in range(inst.n)]
-    for row, b in zip(cleaned.scopes, cleaned.rhs):
-        indices = tuple(int(v) for v in row)
-        for pos, i in enumerate(indices):
-            co = Scope(indices[:pos] + indices[pos + 1 :])
-            lists[i - 1].append((co, int(b)))
-    return CoHyperedgeIndex(inst.n, inst.k, lists)
+from .instances import Assignment, XorInstance, clean, validate_assignment
 
 
 def majority_round_detail(inst: XorInstance, x_tilde: Assignment):
     """Vectorized majority vote; returns (assignment, diagnostics dict).
 
-    Algebraically identical to voting through build_cohyperedges: for a
-    distinct-entry clause, rhs * prod_{j != i} x_j = rhs * prod_j x_j * x_i.
+    For a distinct-entry clause, the vote rhs * prod_{j != i} x_j equals
+    rhs * prod_j x_j * x_i, so every vote comes from one clause product.
     At arity 1 the vote is the clause's rhs whatever x_tilde is.
     """
     x_tilde = validate_assignment(x_tilde, inst.n)

@@ -12,6 +12,7 @@ complexity 1 with no witness.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -37,19 +38,6 @@ def _subset_mask(s: Iterable[int], k: int) -> int:
             raise ParameterError("subset has a repeated element")
         mask |= 1 << (j - 1)
     return mask
-
-
-def fourier_coefficient(q: PlantingDistribution, s: Iterable[int]) -> float:
-    """Exact sum over the support of q; s is a subset of positions 1..k."""
-    mask = _subset_mask(s, q.k)
-    total = 0.0
-    for y, p in sorted(q.mass.items()):
-        sign = 1
-        for j in range(q.k):
-            if (mask >> j) & 1 and y[j] == -1:
-                sign = -sign
-        total += p * sign
-    return total / (1 << q.k)
 
 
 @dataclass(frozen=True)
@@ -117,16 +105,6 @@ def distribution_complexity(q: PlantingDistribution) -> tuple[int, frozenset | N
     return 1, None
 
 
-def verify_nontrivial(q: PlantingDistribution) -> bool:
-    """True iff some nonempty coefficient strictly exceeds 4^-k.
-
-    Guaranteed whenever the support of q is a proper subset of the cube.
-    """
-    table = fourier_table(q)
-    best = max(abs(table.coefficient(s)) for s in subsets_by_size(q.k))
-    return best > 4.0 ** (-q.k)
-
-
 # ---------------------------------------------------------------------------
 # planting distribution file format
 
@@ -140,9 +118,15 @@ def write_planting(q: PlantingDistribution, path: str):
 
 
 def read_planting(path: str) -> PlantingDistribution:
-    with open(path) as f:
-        header = f.readline().split()
-        rows = [line.split() for line in f if line.strip()]
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        # Universal newlines, as a text-mode read of the file would split it.
+        lines = io.StringIO(data.decode("ascii"), newline=None)
+    except UnicodeDecodeError as e:
+        raise FormatError("planting file is not ASCII text") from e
+    header = lines.readline().split()
+    rows = [line.split() for line in lines if line.strip()]
     if len(header) != 2 or header[0] != "plant":
         raise FormatError("expected header 'plant <k>'")
     try:

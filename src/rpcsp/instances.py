@@ -16,7 +16,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -79,10 +79,6 @@ def pattern_index(y: np.ndarray) -> np.ndarray:
     return ((y < 0).astype(np.int64) @ weights)
 
 
-def index_to_pattern(idx: int, k: int) -> tuple[int, ...]:
-    return tuple(-1 if (idx >> j) & 1 else 1 for j in range(k))
-
-
 def all_patterns(k: int) -> np.ndarray:
     """All 2^k sign patterns as an array, row i = pattern with index i."""
     idx = np.arange(1 << k, dtype=np.int64)
@@ -91,34 +87,7 @@ def all_patterns(k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scopes and XOR instances
-
-
-@dataclass(frozen=True)
-class Scope:
-    """Ordered variable tuple of a clause, 1-based, repeats allowed."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise ParameterError("scope must have arity >= 1")
-        if any(i < 1 for i in self.indices):
-            raise ParameterError("scope indices are 1-based and must be >= 1")
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-    @property
-    def distinct(self) -> bool:
-        return len(set(self.indices)) == len(self.indices)
-
-
-def evaluate_xor_clause(x: Assignment, scope: Scope | Iterable[int]) -> int:
-    """Product of x over the scope entries (repeats square away)."""
-    idx = scope.indices if isinstance(scope, Scope) else tuple(scope)
-    return int(np.prod(np.asarray(x)[np.asarray(idx, dtype=np.int64) - 1]))
+# XOR instances
 
 
 def _check_scope_array(scopes: np.ndarray, n: int) -> np.ndarray:
@@ -163,10 +132,6 @@ class XorInstance:
     @property
     def m(self) -> int:
         return self.scopes.shape[0]
-
-    def clauses(self) -> Iterator[tuple[Scope, int]]:
-        for row, b in zip(self.scopes, self.rhs):
-            yield Scope(tuple(int(i) for i in row)), int(b)
 
     def clause_products(self, x: Assignment) -> np.ndarray:
         """prod_j x_{i_j} per clause, as a (m,) +-1 array."""
@@ -321,8 +286,8 @@ class PlantingDistribution:
             if y in norm:
                 raise ParameterError(f"pattern {y} listed twice")
             p = float(p)
-            if p < 0.0:
-                raise ParameterError("masses must be nonnegative")
+            if not (0.0 <= p < np.inf):
+                raise ParameterError("masses must be finite and nonnegative")
             if p > 0.0:
                 norm[y] = p
         object.__setattr__(self, "mass", norm)

@@ -56,6 +56,22 @@ def subset_rank(elems: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[elems, j].sum(axis=-1)
 
 
+def _vertex_count(n: int, ell: int, cap: int) -> int:
+    """C(n, ell), or ResourceLimitError if it exceeds cap.
+
+    C(n, j) grows with j up to min(ell, n - ell), so the running product stops
+    as soon as it passes cap and never builds a huge integer.
+    """
+    count = 1
+    for j in range(min(ell, n - ell)):
+        if count > cap:
+            break
+        count = count * (n - j) // (j + 1)
+    if count > cap:
+        raise ResourceLimitError(f"C({n},{ell}) vertices exceed cap {cap}")
+    return count
+
+
 def all_subsets(n: int, ell: int) -> np.ndarray:
     """All l-subsets of {0..n-1} as a (C(n,l), l) array in colex order.
 
@@ -94,10 +110,6 @@ class KikuchiMatrix:
     used_clauses: int
     dropped_clauses: int
 
-    @property
-    def total_clauses(self) -> int:
-        return self.used_clauses + self.dropped_clauses
-
     def parity_vector(self, x: Assignment) -> np.ndarray:
         """z with z_S = prod_{i in S} x_i, indexed by colex rank."""
         x = validate_assignment(x, self.n)
@@ -117,11 +129,7 @@ def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_
         raise ParameterError(f"need k/2 <= ell <= n, got ell={ell}")
     if ell - k // 2 > inst.n - k:
         raise ParameterError("ell too large: clause complements cannot fill a vertex")
-    num_vertices = comb(inst.n, ell)
-    if num_vertices > vertex_cap:
-        raise ResourceLimitError(
-            f"C({inst.n},{ell}) = {num_vertices} vertices exceeds cap {vertex_cap}"
-        )
+    num_vertices = _vertex_count(inst.n, ell, vertex_cap)
     cleaned, _ = clean(inst)
     pairs_per_clause = comb(k, k // 2) * comb(inst.n - k, ell - k // 2)
 
@@ -264,7 +272,11 @@ def write_kikuchi_dump(kik: KikuchiMatrix, path: str):
 
 
 def read_kikuchi_dump(path: str) -> tuple[int, int, sp.csr_matrix]:
-    """Returns (n, ell, matrix); arity is not recorded in the format."""
+    """Returns (n, ell, matrix); arity is not recorded in the format.
+
+    A header with more than DEFAULT_VERTEX_CAP vertices raises
+    ResourceLimitError, as build_kikuchi does.
+    """
     with open(path, "rb") as f:
         header = f.readline().split()
         body = f.read()
@@ -274,10 +286,12 @@ def read_kikuchi_dump(path: str) -> tuple[int, int, sp.csr_matrix]:
         n, ell, nnz = (int(t) for t in header[1:])
     except ValueError as e:
         raise FormatError("bad kik header") from e
+    if not (1 <= ell <= n and nnz >= 0):
+        raise FormatError("kik header needs 1 <= ell <= n and nnz >= 0")
+    dim = _vertex_count(n, ell, DEFAULT_VERTEX_CAP)  # before any array is built
     if len(body) != nnz * _TRIPLE.itemsize:
         raise FormatError(f"expected {nnz} triples, found {len(body)} bytes")
     triples = np.frombuffer(body, dtype=_TRIPLE)
-    dim = comb(n, ell)
     if nnz and (triples["row"].min() < 0 or triples["row"].max() >= dim
                 or triples["col"].min() < 0 or triples["col"].max() >= dim):
         raise FormatError("vertex rank out of range")

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ParameterError
-from .instances import CspInstance, Scope, XorInstance
+from .instances import CspInstance, XorInstance
 
 
 def _positions(s: Iterable[int], k: int) -> tuple[int, ...]:
@@ -28,12 +28,6 @@ def _positions(s: Iterable[int], k: int) -> tuple[int, ...]:
     if len(set(pos)) != len(pos):
         raise ParameterError("position subset has repeats")
     return tuple(pos)
-
-
-def restrict(c: Scope, s: Iterable[int]) -> Scope:
-    """Sub-tuple of c at the positions in s, in increasing position order."""
-    pos = _positions(s, c.k)
-    return Scope(tuple(c.indices[j - 1] for j in pos))
 
 
 def build_xor_side(psi: CspInstance, s: Iterable[int], sign: int) -> XorInstance:

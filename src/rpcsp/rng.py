@@ -26,7 +26,6 @@ STREAM_PLANTED = 3
 STREAM_BACKEND = 16
 STREAM_PAIRING = 17
 STREAM_SPECTRAL = 18
-STREAM_CSP_TASK = 19
 
 
 def check_seed(seed: int) -> int:

@@ -195,68 +195,51 @@ def solve_csp(
     if psi.m == 0:
         raise ParameterError("cannot solve an empty instance")
     seed = check_seed(seed)
+    if planted is not None:
+        planted = validate_assignment(planted, psi.n)
     k = psi.k
-    all_ones = np.ones(psi.n, dtype=np.int8)
     stats: dict = {"n": psi.n, "k": k, "m": psi.m, "backend": backend.kind}
+    candidates: list[Assignment] = []
 
     if psi.predicate.trivial:
         stats["trivial_predicate"] = True
-        stats["value"] = 1.0
-        stats["no_perfect_candidate"] = False
-        report = SolveReport(all_ones, candidates=[], stats=stats)
-        if planted is not None:
-            report.matched_planted = bool((all_ones == validate_assignment(planted, psi.n)).all())
-        return report
-
-    if q is not None:
-        r, witness = distribution_complexity(q)
-        stats["complexity"] = r
-        if witness is not None:
-            coeff = fourier_table(q).coefficient(witness)
-            tasks = [(tuple(sorted(witness)), 1 if coeff >= 0 else -1)]
-            stats["fast_path"] = True
-        else:
-            tasks = [(s, sign) for s in subsets_by_size(k) for sign in (1, -1)]
-            stats["fast_path"] = False
+        best_val, best = 1.0, np.ones(psi.n, dtype=np.int8)
     else:
         tasks = [(s, sign) for s in subsets_by_size(k) for sign in (1, -1)]
+        if q is not None:
+            r, witness = distribution_complexity(q)
+            stats["complexity"] = r
+            stats["fast_path"] = witness is not None
+            if witness is not None:
+                coeff = fourier_table(q).coefficient(witness)
+                tasks = [(tuple(sorted(witness)), 1 if coeff >= 0 else -1)]
 
-    from .reduction import build_xor_side
+        from .reduction import build_xor_side
 
-    candidates: list[Assignment] = []
-    task_log: list[dict] = []
-    best_val = -1.0
-    best: Assignment | None = None
-    cap = 1 << (k + 2)
-    for ti, (s, sign) in enumerate(tasks):
-        side = build_xor_side(psi, s, sign)
-        sub_ell = ell if len(s) == k else None
-        rep = solve_xor(side, sub_ell, backend, cell_seed(seed, "csp_task", ti))
-        entry = {"s": list(s), "sign": sign}
-        for cand in (rep.output, -rep.output):
-            candidates.append(cand)
-            assert len(candidates) <= cap
-            v = value(psi, cand)
-            entry.setdefault("values", []).append(v)
-            if v > best_val:
-                best_val, best = v, cand
-            if v == 1.0:
-                task_log.append(entry)
-                stats["tasks"] = task_log
-                stats["value"] = 1.0
-                stats["no_perfect_candidate"] = False
-                report = SolveReport(cand, candidates=candidates, stats=stats)
-                if planted is not None:
-                    report.matched_planted = bool(
-                        (cand == validate_assignment(planted, psi.n)).all()
-                    )
-                return report
-        task_log.append(entry)
+        # At most 2(2^k - 1) tasks of two candidates each: fewer than 2^(k+2).
+        task_log: list[dict] = []
+        best_val, best = -1.0, None
+        for ti, (s, sign) in enumerate(tasks):
+            side = build_xor_side(psi, s, sign)
+            sub_ell = ell if len(s) == k else None
+            rep = solve_xor(side, sub_ell, backend, cell_seed(seed, "csp_task", ti))
+            entry = {"s": list(s), "sign": sign, "values": []}
+            task_log.append(entry)
+            for cand in (rep.output, -rep.output):
+                candidates.append(cand)
+                v = value(psi, cand)
+                entry["values"].append(v)
+                if v > best_val:
+                    best_val, best = v, cand
+                if v == 1.0:
+                    break
+            if best_val == 1.0:
+                break
+        stats["tasks"] = task_log
 
-    stats["tasks"] = task_log
-    stats["no_perfect_candidate"] = True
     stats["value"] = best_val
+    stats["no_perfect_candidate"] = best_val < 1.0
     report = SolveReport(best, candidates=candidates, stats=stats)
     if planted is not None:
-        report.matched_planted = bool((best == validate_assignment(planted, psi.n)).all())
+        report.matched_planted = bool((best == planted).all())
     return report

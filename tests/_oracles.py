@@ -60,18 +60,27 @@ def naive_complexity(q):
     return 1, None
 
 
-def naive_majority(inst, x_tilde):
-    """Per-variable co-hyperedge majority vote, one clause at a time."""
+def naive_vote_sums(inst, x_tilde):
+    """Per-variable sum of co-hyperedge votes, one clause and one vote at a time.
+
+    Each distinct-entry clause containing i votes b * prod_{j != i} x_j for x_i;
+    clauses with a repeated entry cast no votes.
+    """
     sums = np.zeros(inst.n, dtype=np.int64)
-    for row, b in zip(inst.scopes, inst.rhs):
-        if len(set(row.tolist())) != len(row):
+    for row, b in zip(inst.scopes.tolist(), inst.rhs.tolist()):
+        if len(set(row)) != len(row):
             continue
-        full = int(b) * int(np.prod(x_tilde[row - 1], dtype=np.int64))
-        for i in row:
-            # b * prod_{j != i} x_j  ==  b * (prod_j x_j) * x_i
-            sums[i - 1] += full * int(x_tilde[i - 1])
-    out = np.where(sums >= 0, 1, -1).astype(np.int8)
-    return out
+        for pos, i in enumerate(row):
+            vote = b
+            for j in row[:pos] + row[pos + 1:]:
+                vote *= int(x_tilde[j - 1])
+            sums[i - 1] += vote
+    return sums
+
+
+def naive_majority(inst, x_tilde):
+    """Per-variable co-hyperedge majority vote; ties and empty votes give +1."""
+    return np.where(naive_vote_sums(inst, x_tilde) >= 0, 1, -1).astype(np.int8)
 
 
 def naive_kikuchi(inst, ell):

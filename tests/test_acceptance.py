@@ -21,7 +21,6 @@ from rpcsp import (
     build_kikuchi,
     build_xor_side,
     clean,
-    fourier_coefficient,
     fourier_table,
     distribution_complexity,
     majority_round,
@@ -97,7 +96,7 @@ def test_criterion_02_reduction_distribution():
     m = 200000
     psi = sample_planted_csp(x, m, sat, q_sat, seed)
     bias = value(build_xor_side(psi, (1,), 1), x)
-    predicted = 0.5 + 4 * fourier_coefficient(q_sat, (1,))
+    predicted = 0.5 + 4 * fourier_table(q_sat).coefficient((1,))
     se = np.sqrt(predicted * (1 - predicted) / m)
     bias_ok = abs(bias - predicted) < 4 * se
     ok = clean_sides == 200 and bias_ok

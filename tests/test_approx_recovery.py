@@ -16,7 +16,7 @@ from rpcsp import (
     sample_planted_xor,
     solve_pseudo_expectation,
 )
-from rpcsp.approx_recovery import read_pexp, round_even_detail, write_pexp
+from rpcsp.approx_recovery import round_even_detail
 from rpcsp.rng import cell_seed, derived_rng
 
 
@@ -238,17 +238,3 @@ def test_round_even_permutation_equivariance_off_ties():
         assert np.array_equal(out_p, out[p])
         assert i_star_p == int(np.flatnonzero(p == 0)[0])
         assert np.allclose(deltas_p, deltas[p])
-
-
-# ----------------------------------------------------------------- file format
-
-def test_pexp_round_trip(tmp_path):
-    inst = _random_signs_instance(7, 30, 3, 5)
-    pe = solve_pseudo_expectation(inst, BackendChoice.brute(), 5)
-    path = str(tmp_path / "pe.pexp")
-    write_pexp(pe, path)
-    back = read_pexp(path)
-    assert back.n == 7
-    assert np.array_equal(back.mu1, pe.mu1)
-    assert np.array_equal(back.m2, pe.m2)
-    back.validate()

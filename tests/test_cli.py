@@ -239,6 +239,22 @@ def test_binary_planted_assignment_exits_two_without_traceback(tmp_path, capsys)
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fourier", "solve"])
+def test_binary_plant_exits_two_without_traceback(tmp_path, capsys, command):
+    bad = tmp_path / "bad.plant"
+    bad.write_bytes(b"\xff\xfe\x00plant 3\n")
+    argv = ["fourier", "--plant", str(bad)]
+    if command == "solve":
+        gen = str(tmp_path / "g")
+        _run(["generate", "csp", "--n", "10", "--m", "20", "--predicate", "sat:3",
+              "--plant", "uniform", "--seed", "1", "--out", gen])
+        argv = ["solve", "--in", gen + ".csp", "--backend", "brute",
+                "--plant", str(bad), "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert _run(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_bad_parameter_exits_one(tmp_path):
     code = _run(["generate", "xor", "--n", "10", "--k", "2", "--m", "10",
                  "--eps", "0.9", "--out", str(tmp_path / "o")])

@@ -2,14 +2,8 @@
 import numpy as np
 import pytest
 
-from _oracles import naive_majority
-from rpcsp import (
-    XorInstance,
-    build_cohyperedges,
-    majority_round,
-    random_assignment,
-    sample_planted_xor,
-)
+from _oracles import naive_majority, naive_vote_sums
+from rpcsp import XorInstance, majority_round, random_assignment, sample_planted_xor
 from rpcsp.exact_rounding import majority_round_detail
 from rpcsp.rng import cell_seed, derived_rng
 
@@ -21,17 +15,21 @@ def _random_signs_instance(n, m, k, seed):
     return XorInstance(n, k, scopes, rhs)
 
 
-def test_cohyperedge_index_contents():
+def test_majority_votes_on_hand_instance():
     scopes = np.array([[1, 2, 3], [2, 2, 4], [3, 1, 2]], dtype=np.int64)
     rhs = np.array([1, -1, 1], dtype=np.int8)
-    idx = build_cohyperedges(XorInstance(4, 3, scopes, rhs))
-    # clause 2 has a repeated entry and is dropped entirely
-    ones = idx.votes(1, np.ones(4, dtype=np.int8))
-    assert len(ones) == 2  # variable 1 appears in clauses 1 and 3 only
-    assert len(idx.votes(4, np.ones(4, dtype=np.int8))) == 0
+    inst = XorInstance(4, 3, scopes, rhs)
     x = random_assignment(4, 2)
+    # clause 2 has a repeated entry and casts no votes, so variable 4 has none;
     # each vote is rhs times the co-scope product
-    assert idx.votes(3, x)[0] == rhs[0] * x[0] * x[1]
+    sums = naive_vote_sums(inst, x)
+    assert sums[3] == 0
+    assert sums[2] == rhs[0] * x[0] * x[1] + rhs[2] * x[0] * x[1]
+    assert sums[0] == rhs[0] * x[1] * x[2] + rhs[2] * x[2] * x[1]
+    out, info = majority_round_detail(inst, x)
+    assert np.array_equal(out, np.where(sums >= 0, 1, -1))
+    assert info["empty_votes"] == 1
+    assert info["dropped_fraction"] == pytest.approx(1 / 3)
 
 
 def test_majority_matches_naive_loop():
@@ -67,8 +65,7 @@ def test_majority_sign_equivariance_for_even_arity_off_ties():
     xt = random_assignment(10, 12)
     out, _ = majority_round_detail(inst, xt)
     out_f, _ = majority_round_detail(inst, -xt)
-    idx = build_cohyperedges(inst)
-    untied = np.array([idx.votes(i, xt).sum() != 0 for i in range(1, 11)])
+    untied = naive_vote_sums(inst, xt) != 0
     assert untied.any()
     assert np.array_equal(out[untied], -out_f[untied])
 

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from _oracles import naive_complexity, naive_fourier_coefficient, random_planting
 from rpcsp import (
     CspPredicate,
+    FormatError,
     PlantingDistribution,
     distribution_complexity,
-    fourier_coefficient,
     fourier_table,
-    verify_nontrivial,
 )
 from rpcsp.fourier import read_planting, subsets_by_size, write_planting
 from rpcsp.rng import derived_rng
@@ -26,10 +25,11 @@ def _sat3_uniform():
 def test_sat3_uniform_coefficients():
     # hand computation: 7 equal atoms, all-false excluded
     q = _sat3_uniform()
-    assert fourier_coefficient(q, ()) == pytest.approx(1 / 8, abs=1e-15)
-    assert fourier_coefficient(q, (1,)) == pytest.approx(1 / 56, abs=1e-15)
-    assert fourier_coefficient(q, (1, 2)) == pytest.approx(-1 / 56, abs=1e-15)
-    assert fourier_coefficient(q, (1, 2, 3)) == pytest.approx(1 / 56, abs=1e-15)
+    table = fourier_table(q)
+    assert table.coefficient(()) == pytest.approx(1 / 8, abs=1e-15)
+    assert table.coefficient((1,)) == pytest.approx(1 / 56, abs=1e-15)
+    assert table.coefficient((1, 2)) == pytest.approx(-1 / 56, abs=1e-15)
+    assert table.coefficient((1, 2, 3)) == pytest.approx(1 / 56, abs=1e-15)
     r, witness = distribution_complexity(q)
     assert (r, witness) == (1, frozenset({1}))
 
@@ -42,20 +42,18 @@ def test_parity_uniform_planting_has_full_complexity():
     for s in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3)):
         assert table.coefficient(s) == pytest.approx(0.0, abs=1e-15)
     assert distribution_complexity(q) == (3, frozenset({1, 2, 3}))
-    assert verify_nontrivial(q)
 
 
 def test_point_mass_has_complexity_one():
     q = PlantingDistribution.point_mass((1, 1, 1, 1))
     assert distribution_complexity(q) == (1, frozenset({1}))
-    assert fourier_coefficient(q, (1, 2)) == pytest.approx(1 / 16)
+    assert fourier_table(q).coefficient((1, 2)) == pytest.approx(1 / 16)
 
 
 def test_uniform_planting_falls_back():
     q = PlantingDistribution.uniform(3)
     r, witness = distribution_complexity(q)
     assert (r, witness) == (1, None)
-    assert not verify_nontrivial(q)
 
 
 def test_threshold_boundary_counts_as_witness():
@@ -63,11 +61,9 @@ def test_threshold_boundary_counts_as_witness():
     q = PlantingDistribution(2, mass={
         (1, 1): 5 / 16, (1, -1): 5 / 16, (-1, 1): 3 / 16, (-1, -1): 3 / 16,
     })
-    assert fourier_coefficient(q, (1,)) == pytest.approx(1 / 16, abs=1e-15)
+    assert fourier_table(q).coefficient((1,)) == pytest.approx(1 / 16, abs=1e-15)
     r, witness = distribution_complexity(q)
     assert (r, witness) == (1, frozenset({1}))
-    # strict-inequality check treats the boundary as trivial
-    assert not verify_nontrivial(q)
 
 
 # ---------------------------------------------------------------- properties
@@ -118,7 +114,7 @@ def test_complexity_size_invariant_under_position_relabeling(k, seed):
 def test_mean_coefficient_is_normalization():
     for k in range(1, 6):
         q = PlantingDistribution.uniform(k)
-        assert fourier_coefficient(q, ()) == pytest.approx(2.0 ** -k, abs=1e-15)
+        assert fourier_table(q).coefficient(()) == pytest.approx(2.0 ** -k, abs=1e-15)
 
 
 def test_subsets_by_size_order():
@@ -138,3 +134,60 @@ def test_planting_round_trip(tmp_path):
     assert set(back.mass) == set(q.mass)
     for pattern, w in q.mass.items():
         assert back.mass[pattern] == pytest.approx(w, abs=1e-16)
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00plant 1\n+1 1.0\n",  # not ASCII
+    b"plant 1\n+1 nan\n-1 1.0\n",  # NaN fails both mass < 0 and mass > 0
+    b"plant 1\n+1 inf\n-1 1.0\n",
+    b"plant 1\n+1 1e400\n",
+    b"plant 1\n+1 -0.5\n-1 1.5\n",
+    b"plant 40\n",
+])
+def test_read_planting_rejects_malformed(tmp_path, content):
+    path = tmp_path / "bad.plant"
+    path.write_bytes(content)
+    with pytest.raises(FormatError):
+        read_planting(str(path))
+
+
+def test_read_planting_keeps_text_mode_line_ends(tmp_path):
+    path = tmp_path / "q.plant"
+    path.write_bytes(b"plant 2\r\n+1 +1 0.25\r-1 -1 0.75\n")
+    assert read_planting(str(path)).mass == {(1, 1): 0.25, (-1, -1): 0.75}
+
+
+@pytest.fixture(scope="module")
+def plant_path(tmp_path_factory):
+    """One file for the fuzz test; module-scoped so @given can use it."""
+    return tmp_path_factory.mktemp("plant") / "f.plant"
+
+
+@st.composite
+def _plant_files(draw):
+    """Plant files whose rows mostly fit the header, with a few random bytes spliced in."""
+    k = draw(st.integers(-1, 3))
+    rows = draw(st.integers(0, 4))
+    lines = [f"plant {k}"]
+    for _ in range(rows):
+        width = max(0, k + draw(st.sampled_from([0] * 6 + [-1, 1])))
+        pattern = draw(st.lists(st.sampled_from(["+1", "-1"] * 4 + ["1", "0"]),
+                                min_size=width, max_size=width))
+        mass = draw(st.sampled_from([repr(1 / rows)] * 12 + [
+            "0", "-0.5", "nan", "inf", "1e400", "x"]))
+        lines.append(" ".join(pattern + [mass]))
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines).encode()
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + draw(st.just(b"") | st.binary(max_size=3)) + text[cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.binary(max_size=64) | _plant_files())
+def test_read_planting_gives_distribution_or_format_error(plant_path, content):
+    plant_path.write_bytes(content)
+    try:
+        q = read_planting(str(plant_path))
+    except FormatError:
+        return
+    assert all(len(y) == q.k and 0.0 < p < np.inf for y, p in q.mass.items())
+    assert sum(q.mass.values()) == pytest.approx(1.0)

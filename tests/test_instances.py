@@ -22,11 +22,9 @@ from rpcsp import (
     FormatError,
     ParameterError,
     PlantingDistribution,
-    Scope,
     XorInstance,
     clean,
     corr,
-    evaluate_xor_clause,
     random_assignment,
     sample_planted_csp,
     sample_planted_xor,
@@ -36,7 +34,6 @@ from rpcsp import (
 from rpcsp.instances import (
     _WRITE_CHUNK_ROWS,
     all_patterns,
-    index_to_pattern,
     pattern_index,
     read_assignment,
     read_csp,
@@ -100,7 +97,7 @@ def test_sign_round_preserves_correlation_within_factor_four():
 @given(st.integers(1, 6), st.integers(0, 2 ** 31))
 def test_pattern_index_round_trip(k, bits):
     idx = bits % 2 ** k
-    y = np.array(index_to_pattern(idx, k), dtype=np.int8)
+    y = all_patterns(k)[idx]
     assert pattern_index(y[None, :])[0] == idx
 
 
@@ -116,14 +113,16 @@ def test_pattern_index_bit_convention():
 
 
 @given(st.lists(st.integers(1, 8), min_size=1, max_size=6))
-def test_evaluate_xor_clause_square_cancellation(indices):
-    x = random_assignment(8, 3)
-    doubled = indices + indices
-    assert evaluate_xor_clause(x, doubled) == 1
+def test_clause_products_square_cancellation(indices):
+    x = random_assignment(12, 3)
+    rhs = np.ones(2, dtype=np.int8)
+    inst = XorInstance(12, 2 * len(indices), np.array([indices + indices] * 2), rhs)
+    assert np.array_equal(inst.clause_products(x), [1, 1])
     direct = 1
     for i in indices:
         direct *= int(x[i - 1])
-    assert evaluate_xor_clause(x, indices) == direct
+    single = XorInstance(12, len(indices), np.array([indices]), rhs[:1])
+    assert single.clause_products(x)[0] == direct
 
 
 # ------------------------------------------------------------- xor instances

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import brute_max_advantage, naive_kikuchi
 from rpcsp import (
     ConvergenceError,
+    FormatError,
     ParameterError,
     ResourceLimitError,
     UnsupportedConfigError,
@@ -20,6 +23,8 @@ from rpcsp import (
     spectral_norm,
 )
 from rpcsp.kikuchi import (
+    DEFAULT_VERTEX_CAP,
+    _TRIPLE,
     all_subsets,
     read_kikuchi_dump,
     refute_report,
@@ -257,3 +262,50 @@ def test_dump_round_trip(tmp_path):
     assert (n, ell) == (11, 2)
     assert sp.issparse(mat)
     assert (mat != kik.matrix).nnz == 0
+
+
+@pytest.mark.parametrize("header,error", [
+    (b"kik -3 2 0\n", FormatError),  # math.comb raises ValueError on negative n
+    (b"kik 5 0 0\n", FormatError),
+    (b"kik 5 6 0\n", FormatError),
+    (b"kik 5 2 -1\n", FormatError),
+    (b"kik 100000 5 0\n", ResourceLimitError),  # C(n, ell) exceeds int64
+    (b"kik 200 4 0\n", ResourceLimitError),  # 64.7M vertices: fits int64, over the cap
+    (b"kik %d %d 0\n" % (10 ** 12, 5 * 10 ** 11), ResourceLimitError),  # exact C(n, ell) is huge
+])
+def test_read_kikuchi_dump_checks_header_before_allocating(tmp_path, header, error):
+    path = tmp_path / "bad.kik"
+    path.write_bytes(header)
+    with pytest.raises(error):
+        read_kikuchi_dump(str(path))
+
+
+@pytest.fixture(scope="module")
+def kik_path(tmp_path_factory):
+    """One file for the fuzz test; module-scoped so @given can use it."""
+    return tmp_path_factory.mktemp("kik") / "f.kik"
+
+
+@st.composite
+def _kik_files(draw):
+    """A header, then triples whose count and ranks mostly fit it."""
+    n = draw(st.integers(-1, 12) | st.sampled_from([10 ** 7, 2 ** 64]))
+    ell = draw(st.integers(0, 5))
+    rank = st.integers(-1, math.comb(n, ell) if 1 <= ell <= n <= 12 else 500)
+    entries = draw(st.lists(st.tuples(rank, rank, st.integers(-2 ** 31, 2 ** 31 - 1)),
+                            max_size=4))
+    nnz = len(entries) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    return b"kik %d %d %d\n" % (n, ell, nnz) + np.array(entries, dtype=_TRIPLE).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=st.binary(max_size=64) | _kik_files())
+def test_read_kikuchi_dump_gives_matrix_or_error(kik_path, content):
+    kik_path.write_bytes(content)
+    try:
+        n, ell, mat = read_kikuchi_dump(str(kik_path))
+    except (FormatError, ResourceLimitError):
+        return
+    dim = math.comb(n, ell)
+    assert dim <= DEFAULT_VERTEX_CAP
+    assert mat.shape == (dim, dim)

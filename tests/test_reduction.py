@@ -7,11 +7,9 @@ from rpcsp import (
     CspPredicate,
     ParameterError,
     PlantingDistribution,
-    Scope,
     build_xor_side,
-    fourier_coefficient,
+    fourier_table,
     random_assignment,
-    restrict,
     sample_planted_csp,
     value,
 )
@@ -24,22 +22,27 @@ def _hand_csp():
     return CspInstance(5, pred, scopes, negations)
 
 
+def _one_clause_csp(scope, negation):
+    pred = CspPredicate.k_sat(len(scope))
+    return CspInstance(
+        9, pred, np.array([scope], dtype=np.int64), np.array([negation], dtype=np.int8)
+    )
+
+
 def test_restrict_picks_positions_in_order():
-    c = Scope((7, 3, 9, 3))
-    assert restrict(c, (3, 1)).indices == (7, 9)
-    assert restrict(c, {2}).indices == (3,)
+    psi = _one_clause_csp([7, 3, 9, 3], [1, -1, -1, 1])
+    # positions are taken in increasing order, whatever order s lists them in
+    side = build_xor_side(psi, (3, 1), 1)
+    assert np.array_equal(side.scopes, [[7, 9]])
+    assert np.array_equal(side.rhs, [-1])
+    assert np.array_equal(build_xor_side(psi, {2}, 1).scopes, [[3]])
 
 
 def test_restrict_rejects_bad_position_sets():
-    c = Scope((7, 3, 9))
-    with pytest.raises(ParameterError):
-        restrict(c, ())
-    with pytest.raises(ParameterError):
-        restrict(c, (0, 1))
-    with pytest.raises(ParameterError):
-        restrict(c, (1, 4))
-    with pytest.raises(ParameterError):
-        restrict(c, (2, 2))
+    psi = _one_clause_csp([7, 3, 9], [1, 1, 1])
+    for bad in ((), (0, 1), (1, 4), (2, 2)):
+        with pytest.raises(ParameterError):
+            build_xor_side(psi, bad, 1)
 
 
 def test_build_xor_side_exact_on_hand_instance():
@@ -81,7 +84,7 @@ def test_sat3_singleton_bias_matches_coefficient():
     m = 200000
     psi = sample_planted_csp(x, m, pred, q, 2)
     side = build_xor_side(psi, (1,), 1)
-    predicted = 0.5 + 2 ** (3 - 1) * fourier_coefficient(q, (1,))
+    predicted = 0.5 + 2 ** (3 - 1) * fourier_table(q).coefficient((1,))
     assert predicted == pytest.approx(4 / 7)
     se = np.sqrt(predicted * (1 - predicted) / m)
     assert abs(value(side, x) - predicted) < 4 * se
