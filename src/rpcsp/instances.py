@@ -16,6 +16,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -149,8 +150,9 @@ def clean(inst: XorInstance) -> tuple[XorInstance, float]:
     """
     if inst.m == 0:
         return inst, 0.0
-    s = np.sort(inst.scopes, axis=1)
-    distinct = np.all(s[:, 1:] != s[:, :-1], axis=1) if inst.k > 1 else np.ones(inst.m, bool)
+    distinct = np.ones(inst.m, dtype=bool)
+    for i, j in combinations(range(inst.k), 2):
+        distinct &= inst.scopes[:, i] != inst.scopes[:, j]
     kept = XorInstance(inst.n, inst.k, inst.scopes[distinct], inst.rhs[distinct])
     return kept, float(1.0 - distinct.mean())
 

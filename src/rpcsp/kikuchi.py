@@ -136,9 +136,16 @@ def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_
     table = _comb_table(inst.n, ell)
     # 0-based and sorted; int32 halves the per-entry element arrays gathered below.
     sets = (np.sort(cleaned.scopes, axis=1) - 1).astype(np.int32)
-    uniq, inverse = np.unique(sets, axis=0, return_inverse=True)
-    weights = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(weights, inverse, cleaned.rhs.astype(np.int64))
+    # Equal sets are adjacent once sorted lexicographically; each run's rhs
+    # sum is its weight. A set of weight 0 contributes only zero entries,
+    # since S xor T fixes the clause set, so it is dropped here.
+    order = np.lexsort(sets.T[::-1])
+    sets = sets[order]
+    new = np.ones(len(sets), dtype=bool)
+    new[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    weights = np.bincount(np.cumsum(new) - 1, weights=cleaned.rhs[order]).astype(np.int64)
+    keep = weights != 0
+    uniq, weights = sets[new][keep], weights[keep]
 
     # Every entry at once: S = A + W, T = B + W for each half split (A, B) of
     # each clause set and each pad W outside it, shaped (clause, split, pad).
@@ -156,7 +163,6 @@ def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_
     data = np.repeat(weights, len(splits) * len(pads))
     mat = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices),
                         dtype=np.int64).tocsr()
-    mat.eliminate_zeros()
     return KikuchiMatrix(inst.n, ell, k, mat, pairs_per_clause, num_vertices,
                          cleaned.m, inst.m - cleaned.m)
 

@@ -51,35 +51,33 @@ def pair_to_even(inst: XorInstance, seed: int) -> XorInstance:
     """Pair clauses with disjoint variable sets into arity-2k clauses.
 
     Clauses with repeated entries are dropped first (their pairings would be
-    dropped by downstream arity checks anyway). The remaining clause order is
-    shuffled by the seed, then pairing is greedy first-fit over the shuffled
-    order; unpairable clauses are dropped. The paired rhs is the product of
-    the two rhs values, so a corruption rate of 1/2 - eps composes to
-    1/2 - 2*eps^2.
+    dropped by downstream arity checks anyway). Pairing then runs in rounds:
+    each round shuffles the clauses still unpaired with the seeded stream,
+    pairs the first half with the second half position by position, and
+    keeps the pairs whose scopes share no variable. The clauses of rejected
+    pairs, and the odd one out, go on to the next round. Pairing stops when
+    a round keeps no pair or fewer than two clauses are left; the rest are
+    dropped. The paired rhs is the product of the two rhs values, so a
+    corruption rate of 1/2 - eps composes to 1/2 - 2*eps^2.
     """
     if 2 * inst.k > inst.n:
         raise ParameterError("pairing needs n >= 2k for disjoint scopes")
     base, _ = clean(inst)
-    empty = XorInstance(inst.n, 2 * inst.k, np.zeros((0, 2 * inst.k), np.int64),
-                        np.zeros(0, np.int8))
-    if base.m == 0:
-        return empty
-    order = derived_rng(check_seed(seed), STREAM_PAIRING).permutation(base.m)
-    pending: list[tuple[frozenset, int]] = []
-    pairs: list[tuple[int, int]] = []
-    for idx in order:
-        vars_here = frozenset(int(v) for v in base.scopes[idx])
-        for t, (vars_pend, j) in enumerate(pending):
-            if vars_here.isdisjoint(vars_pend):
-                pairs.append((j, int(idx)))
-                pending.pop(t)
-                break
-        else:
-            pending.append((vars_here, int(idx)))
-    if not pairs:
-        return empty
-    first = np.array([a for a, _ in pairs], dtype=np.int64)
-    second = np.array([b for _, b in pairs], dtype=np.int64)
+    rng = derived_rng(check_seed(seed), STREAM_PAIRING)
+    left = np.arange(base.m)
+    firsts, seconds = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    while len(left) >= 2:
+        left = rng.permutation(left)
+        h = len(left) // 2
+        a, b = left[:h], left[h:2 * h]
+        sa, sb = base.scopes[a], base.scopes[b]
+        ok = ~(sa[:, :, None] == sb[:, None, :]).any(axis=(1, 2))
+        if not ok.any():
+            break
+        firsts.append(a[ok])
+        seconds.append(b[ok])
+        left = np.concatenate([a[~ok], b[~ok], left[2 * h:]])
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
     scopes = np.concatenate([base.scopes[first], base.scopes[second]], axis=1)
     rhs = (base.rhs[first].astype(np.int64) * base.rhs[second]).astype(np.int8)
     return XorInstance(inst.n, 2 * inst.k, scopes, rhs)
@@ -190,7 +188,9 @@ def solve_csp(
     negation; the first candidate of value 1 is returned. If none reaches
     value 1 the best candidate is returned with stats["no_perfect_candidate"]
     set. Passing the planting distribution q switches to the fast path that
-    only tries the distribution-complexity witness with its coefficient sign.
+    tries the distribution-complexity witness with its coefficient sign
+    first; if neither of its candidates has value 1, the remaining tasks
+    follow in the usual order.
     """
     if psi.m == 0:
         raise ParameterError("cannot solve an empty instance")
@@ -212,7 +212,8 @@ def solve_csp(
             stats["fast_path"] = witness is not None
             if witness is not None:
                 coeff = fourier_table(q).coefficient(witness)
-                tasks = [(tuple(sorted(witness)), 1 if coeff >= 0 else -1)]
+                first = (tuple(sorted(witness)), 1 if coeff >= 0 else -1)
+                tasks = [first] + [t for t in tasks if t != first]
 
         from .reduction import build_xor_side
 

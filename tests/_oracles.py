@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from rpcsp import CspInstance, CspPredicate, FormatError, ParameterError, XorInstance
+from rpcsp.rng import STREAM_PAIRING, derived_rng
 
 
 def enumerate_assignments(n):
@@ -81,6 +82,41 @@ def naive_vote_sums(inst, x_tilde):
 def naive_majority(inst, x_tilde):
     """Per-variable co-hyperedge majority vote; ties and empty votes give +1."""
     return np.where(naive_vote_sums(inst, x_tilde) >= 0, 1, -1).astype(np.int8)
+
+
+def naive_clean(inst):
+    """Drop clauses with a repeated entry, found by sorting each scope row."""
+    if inst.m == 0:
+        return inst, 0.0
+    s = np.sort(inst.scopes, axis=1)
+    distinct = np.all(s[:, 1:] != s[:, :-1], axis=1)
+    kept = XorInstance(inst.n, inst.k, inst.scopes[distinct], inst.rhs[distinct])
+    return kept, float(1.0 - distinct.mean())
+
+
+def greedy_pair_to_even(inst, seed):
+    """Greedy first-fit pairing of disjoint clauses over one seeded shuffle.
+
+    Each clause, in shuffled order, pairs with the first pending clause whose
+    variables it does not share, or else becomes pending itself.
+    """
+    base, _ = naive_clean(inst)
+    order = derived_rng(seed, STREAM_PAIRING).permutation(base.m)
+    pending, pairs = [], []
+    for idx in order.tolist():
+        vars_here = frozenset(base.scopes[idx].tolist())
+        for t, (vars_pend, j) in enumerate(pending):
+            if vars_here.isdisjoint(vars_pend):
+                pairs.append((j, idx))
+                pending.pop(t)
+                break
+        else:
+            pending.append((vars_here, idx))
+    first = np.array([a for a, _ in pairs], dtype=np.int64)
+    second = np.array([b for _, b in pairs], dtype=np.int64)
+    scopes = np.concatenate([base.scopes[first], base.scopes[second]], axis=1)
+    rhs = (base.rhs[first].astype(np.int64) * base.rhs[second]).astype(np.int8)
+    return XorInstance(inst.n, 2 * inst.k, scopes, rhs)
 
 
 def naive_kikuchi(inst, ell):

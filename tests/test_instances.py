@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from _oracles import (
+    naive_clean,
     naive_read_assignment,
     naive_read_csp,
     naive_read_xor,
@@ -162,6 +163,31 @@ def test_clean_fraction_on_full_pair_grid():
     inst = XorInstance(n, 2, grid, np.ones(n * n, dtype=np.int8))
     _, frac = clean(inst)
     assert frac == pytest.approx(1.0 / n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_clean_matches_sort_oracle(data):
+    k = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(k, k + 4))
+    m = data.draw(st.integers(0, 40))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    scopes = rng.integers(1, n + 1, size=(m, k), dtype=np.int64)
+    # copy one entry over another in about half the rows, at any two positions
+    if k > 1 and m:
+        rows = np.flatnonzero(rng.random(m) < 0.5)
+        src, dst = rng.integers(0, k, size=(2, rows.size))
+        scopes[rows, dst] = scopes[rows, src]
+    rhs = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
+    inst = XorInstance(n, k, scopes, rhs)
+    kept, frac = clean(inst)
+    want, want_frac = naive_clean(inst)
+    assert np.array_equal(kept.scopes, want.scopes)
+    assert np.array_equal(kept.rhs, want.rhs)
+    assert frac == want_frac
+    if k == 1:
+        assert kept.m == m
 
 
 def test_sample_planted_xor_deterministic():

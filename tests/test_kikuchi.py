@@ -119,6 +119,26 @@ def test_build_kikuchi_matches_naive_oracle(k, n, ell):
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
+def test_build_kikuchi_duplicates_and_cancellation_match_oracle(k):
+    n, ell = k + 3, k // 2 + 1
+    rng = derived_rng(cell_seed(311, k), 0)
+    bases = [rng.choice(np.arange(1, n + 1), size=k, replace=False) for _ in range(4)]
+    rows, rhs = [], []
+    # set 0 cancels exactly, set 1 nets +2, set 2 nets -1, set 3 cancels over six copies
+    for base, signs in zip(bases, ([1, -1], [1, 1, -1, 1], [-1, -1, 1], [1, -1] * 3)):
+        for b in signs:
+            rows.append(rng.permutation(base))
+            rhs.append(b)
+    order = rng.permutation(len(rows))
+    inst = XorInstance(n, k, np.array(rows, dtype=np.int64)[order],
+                       np.array(rhs, dtype=np.int8)[order])
+    kik = build_kikuchi(inst, ell)
+    assert np.array_equal(kik.matrix.toarray(), naive_kikuchi(inst, ell))
+    assert np.unique(np.abs(kik.matrix.data)).tolist() == [1, 2]
+    assert kik.used_clauses == inst.m and kik.dropped_clauses == 0
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
 def test_build_kikuchi_all_clauses_dropped_matches_oracle(k):
     n = k + 2
     scopes = np.array([[1] * k, [2, 2] + list(range(3, k + 1))], dtype=np.int64)

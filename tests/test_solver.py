@@ -1,6 +1,7 @@
 """Tests for the two-stage XOR solver, arity pairing, and the CSP driver."""
 import numpy as np
 import pytest
+from _oracles import greedy_pair_to_even
 
 from rpcsp import (
     BackendChoice,
@@ -18,6 +19,7 @@ from rpcsp import (
     solve_xor,
     value,
 )
+from rpcsp.reduction import build_xor_side
 from rpcsp.rng import cell_seed, derived_rng
 
 
@@ -80,6 +82,41 @@ def test_pair_to_even_drops_repeated_entry_clauses():
     assert paired.m == 1
     assert sorted(paired.scopes[0].tolist()) == [3, 4, 5, 6, 7, 8]
     assert paired.rhs[0] == -1
+
+
+def _distinct_scope_instance(n, m, k, seed):
+    """A k-XOR instance with no two equal scope rows, so a paired half names
+    the clause it came from."""
+    inst = sample_planted_xor(random_assignment(n, seed), m, k, 0.3, seed)
+    keep = np.sort(np.unique(inst.scopes, axis=0, return_index=True)[1])
+    return XorInstance(n, k, inst.scopes[keep], inst.rhs[keep])
+
+
+@pytest.mark.parametrize("n,m,seed", [(12, 300, 1), (20, 2000, 2), (40, 5000, 3)])
+def test_pair_to_even_pairs_disjoint_clauses_once(n, m, seed):
+    inst = _distinct_scope_instance(n, m, 3, seed)
+    index = {tuple(row): i for i, row in enumerate(inst.scopes.tolist())}
+    paired = pair_to_even(inst, seed)
+    assert paired.m > 0
+    used = []
+    for row, b in zip(paired.scopes.tolist(), paired.rhs.tolist()):
+        assert not set(row[:3]) & set(row[3:])
+        i, j = index[tuple(row[:3])], index[tuple(row[3:])]
+        assert b == inst.rhs[i] * inst.rhs[j]
+        used += [i, j]
+    assert len(used) == len(set(used))
+
+
+def test_pair_to_even_yield_matches_greedy_on_csp3_parity_side():
+    # the first half of a 3-XOR side of a csp3-parity benchmark instance
+    pred = CspPredicate.k_xor(3)
+    q = PlantingDistribution.uniform_satisfying(pred)
+    psi = sample_planted_csp(random_assignment(40, 9), 60_000, pred, q, 9)
+    side = build_xor_side(psi, (1, 2, 3), 1)
+    half = XorInstance(side.n, side.k, side.scopes[:30_000], side.rhs[:30_000])
+    rounds = pair_to_even(half, 9).m
+    greedy = greedy_pair_to_even(half, 9).m
+    assert abs(rounds - greedy) <= 0.01 * greedy
 
 
 # ------------------------------------------------------------------- solve_xor
@@ -239,5 +276,11 @@ def test_solve_csp_value_dominates_all_logged_candidates():
 def test_solve_csp_matched_planted_semantics():
     pred, q, x, psi = _sat3_setup(60, 20000, 16)
     rep = solve_csp(psi, None, BackendChoice.sdp_basic(), 16, q=q, planted=x)
-    if rep.matched_planted:
-        assert value(psi, rep.output) == 1.0
+    assert rep.matched_planted is True
+    assert value(psi, rep.output) == 1.0
+    # the witness task falls short of value 1 here, so the fast path goes on
+    # to the other tasks, each tried once
+    tasks = [(tuple(t["s"]), t["sign"]) for t in rep.stats["tasks"]]
+    assert rep.stats["fast_path"] is True
+    assert max(rep.stats["tasks"][0]["values"]) < 1.0
+    assert len(tasks) > 1 and len(set(tasks)) == len(tasks)
