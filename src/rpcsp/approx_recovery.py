@@ -169,17 +169,19 @@ def _brute_backend(inst: XorInstance, backend: BackendChoice) -> PseudoExpectati
 # sdp_basic backend (arity 2)
 
 
-def _pair_weights(inst: XorInstance) -> sp.csr_matrix:
-    """Symmetric signed weight matrix; diagonal (i==j) clauses are constants."""
-    i = inst.scopes[:, 0] - 1
-    j = inst.scopes[:, 1] - 1
-    off = i != j
-    i, j, b = i[off], j[off], inst.rhs[off].astype(np.float64)
-    w = sp.coo_matrix(
-        (np.concatenate([b, b]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(inst.n, inst.n),
-    )
-    return w.tocsr()
+def _pair_weights(inst: XorInstance) -> np.ndarray:
+    """Symmetric signed weight matrix; diagonal (i==j) clauses are constants.
+
+    Entry (i, j) sums the rhs of the clauses on (i, j) and on (j, i). The
+    matrix is dense: at most n^2 cells hold many more clauses, and the SDP
+    that uses it already keeps dense n x n moments.
+    """
+    n = inst.n
+    cell = (inst.scopes[:, 0] - 1) * n + (inst.scopes[:, 1] - 1)
+    w = np.bincount(cell, weights=inst.rhs, minlength=n * n).reshape(n, n)
+    w += w.T
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> PseudoExpectation:
@@ -194,13 +196,14 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     obj_prev = -np.inf
     iters_run = 0
+    g = w @ v
     for it in range(backend.iters):
-        g = w @ v
         norms = np.linalg.norm(g, axis=1)
         keep = norms <= 1e-300  # rows with no gradient keep their value
         norms[keep] = 1.0
         v = np.where(keep[:, None], v, g / norms[:, None])
-        obj = float(np.sum(v * (w @ v)))
+        g = w @ v  # this iteration's objective and the next one's gradient
+        obj = float(np.sum(v * g))
         iters_run = it + 1
         if obj - obj_prev <= 1e-12 * max(1.0, abs(obj)) and it >= 5:
             break

@@ -136,10 +136,20 @@ class XorInstance:
 
     def clause_products(self, x: Assignment) -> np.ndarray:
         """prod_j x_{i_j} per clause, as a (m,) +-1 array."""
-        x = np.asarray(x)
-        if self.m == 0:
-            return np.zeros(0, dtype=np.int8)
-        return np.prod(x[self.scopes - 1], axis=1).astype(np.int8)
+        return _products(x, self.scopes)
+
+
+def _products(x: Assignment, scopes: np.ndarray) -> np.ndarray:
+    """prod_j x_{i_j} per row of a 1-based scope array, as an int8 (m,) array.
+
+    x gets a zero prepended, so each column indexes it as it stands; the
+    columns are gathered and multiplied one at a time in int8.
+    """
+    padded = np.concatenate(([0], np.asarray(x))).astype(np.int8)
+    out = padded[scopes[:, 0]]
+    for c in range(1, scopes.shape[1]):
+        out *= padded[scopes[:, c]]
+    return out
 
 
 def clean(inst: XorInstance) -> tuple[XorInstance, float]:
@@ -178,7 +188,7 @@ def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int
     seed = check_seed(seed)
     scopes = derived_rng(seed, STREAM_SCOPES).integers(1, n + 1, size=(m, k), dtype=np.int64)
     u = derived_rng(seed, STREAM_NOISE).random(m)
-    planted = np.prod(x_star[scopes - 1], axis=1).astype(np.int8)
+    planted = _products(x_star, scopes)
     flip = u >= 0.5 + eps
     rhs = np.where(flip, -planted, planted).astype(np.int8)
     return XorInstance(n, k, scopes, rhs)
@@ -420,11 +430,12 @@ def sample_planted_csp(
 # Instance and assignment files are ASCII text: an optional header line, then
 # a body of decimal integers with an optional sign, separated by whitespace.
 # One codec moves every body between a (rows, fields) int array and text, with
-# no Python object per token: the writer formats row chunks with one % each,
-# the reader parses with np.fromstring.
+# no Python object per token. The writer lays each row chunk out as a uint8
+# array of fixed-width cells, one decimal digit per integer division, and
+# drops the unused bytes with one mask; the reader parses with np.fromstring.
 
 _TMP_SUFFIX = ".tmp"
-# Rows formatted per % call; bounds the tuple and string built per chunk.
+# Rows formatted per chunk; bounds the writer's digit buffer.
 _WRITE_CHUNK_ROWS = 1 << 14
 # Body bytes by class: whitespace (what str.split() skips on ASCII text) to
 # b" ", digits and signs unchanged, anything else to b"x".
@@ -454,13 +465,40 @@ def atomic_write_bytes(path: str, data: bytes):
         f.write(data)
 
 
-def _write_rows(path: str, header: str, rows: np.ndarray, line_fmt: str):
-    """Write `header`, then `line_fmt % row` for each row of an int array."""
-    with _atomic_open(path) as f:
-        f.write(header)
+def _format_rows(rows: np.ndarray, signed) -> bytes:
+    """Text lines for the rows of an int array, as `%+d` or `%d` per field.
+
+    Field f is written with a sign where signed[f] is true, fields are joined
+    by spaces and each row ends in a newline. Each value gets a cell of
+    width + 2 bytes: a sign slot, `width` digit slots filled right to left and
+    a separator. Slots the text leaves out (an omitted "+", leading zeros)
+    hold 0, and one mask drops them.
+    """
+    top = max(int(rows.max()), -int(rows.min()))
+    width = len(str(top))
+    # np.abs leaves int64 min as it is, which reads as 2^63 in uint64.
+    mag = np.abs(rows).astype(np.min_scalar_type(top))
+    buf = np.empty(rows.shape + (width + 2,), dtype=np.uint8)
+    plus = np.where(signed, ord("+"), 0).astype(np.uint8)
+    buf[..., 0] = np.where(rows < 0, ord("-"), plus)
+    for col in range(width, 0, -1):
+        q = mag // 10
+        digit = (mag - 10 * q).astype(np.uint8) + ord("0")
+        if col < width:
+            digit *= mag != 0
+        buf[..., col] = digit
+        mag = q
+    buf[..., -1] = ord(" ")
+    buf[:, -1, -1] = ord("\n")
+    return buf[buf != 0].tobytes()
+
+
+def _write_rows(path: str, header: str, rows: np.ndarray, signed):
+    """Write `header`, then each row of an int array as one line (see _format_rows)."""
+    with _atomic_open(path, "wb") as f:
+        f.write(header.encode("ascii"))
         for start in range(0, rows.shape[0], _WRITE_CHUNK_ROWS):
-            chunk = rows[start:start + _WRITE_CHUNK_ROWS]
-            f.write((line_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+            f.write(_format_rows(rows[start:start + _WRITE_CHUNK_ROWS], signed))
 
 
 def _parse_ints(text: bytes, what: str) -> np.ndarray:
@@ -526,7 +564,7 @@ def _read_clauses(
 
 def write_xor(inst: XorInstance, path: str):
     rows = np.column_stack([inst.rhs, inst.scopes])
-    _write_rows(path, f"xor {inst.n} {inst.m} {inst.k}\n", rows, "%+d" + " %d" * inst.k + "\n")
+    _write_rows(path, f"xor {inst.n} {inst.m} {inst.k}\n", rows, [True] + [False] * inst.k)
 
 
 def read_xor(path: str) -> XorInstance:
@@ -543,7 +581,7 @@ def read_xor(path: str) -> XorInstance:
 def write_csp(inst: CspInstance, path: str):
     rows = np.stack([inst.scopes, inst.negations], axis=2).reshape(inst.m, 2 * inst.k)
     header = f"csp {inst.n} {inst.m} {inst.k} {inst.predicate.to_hex()}\n"
-    _write_rows(path, header, rows, " ".join(["%d %+d"] * inst.k) + "\n")
+    _write_rows(path, header, rows, [False, True] * inst.k)
 
 
 def read_csp(path: str) -> CspInstance:
@@ -559,7 +597,7 @@ def read_csp(path: str) -> CspInstance:
 
 def write_assignment(x: Assignment, path: str):
     x = validate_assignment(x)
-    _write_rows(path, "", x[None, :], " ".join(["%+d"] * x.size) + "\n")
+    _write_rows(path, "", x[None, :], [True] * x.size)
 
 
 def read_assignment(path: str) -> Assignment:

@@ -7,6 +7,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from rpcsp import CspInstance, CspPredicate, FormatError, ParameterError, XorInstance
 from rpcsp.rng import STREAM_PAIRING, derived_rng
@@ -137,6 +138,23 @@ def naive_kikuchi(inst, ell):
         for c, t in enumerate(verts):
             out[r, c] = weight.get(frozenset(s) ^ frozenset(t), 0)
     return out
+
+
+def naive_pair_weights(inst):
+    """Symmetric signed weights of an arity-2 instance as a COO -> CSR sum.
+
+    Each off-diagonal clause adds its rhs at (i, j) and at (j, i); the CSR
+    conversion sums the duplicates. Diagonal (i == i) clauses add nothing.
+    """
+    i = inst.scopes[:, 0] - 1
+    j = inst.scopes[:, 1] - 1
+    off = i != j
+    i, j, b = i[off], j[off], inst.rhs[off].astype(np.float64)
+    w = sp.coo_matrix(
+        (np.concatenate([b, b]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(inst.n, inst.n),
+    )
+    return w.tocsr()
 
 
 def random_planting(rng, k):

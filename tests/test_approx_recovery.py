@@ -2,7 +2,12 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_argmax_rows, clause_totals, enumerate_assignments
+from _oracles import (
+    brute_argmax_rows,
+    clause_totals,
+    enumerate_assignments,
+    naive_pair_weights,
+)
 from rpcsp import (
     BackendChoice,
     ParameterError,
@@ -16,7 +21,7 @@ from rpcsp import (
     sample_planted_xor,
     solve_pseudo_expectation,
 )
-from rpcsp.approx_recovery import round_even_detail
+from rpcsp.approx_recovery import _pair_weights, round_even_detail
 from rpcsp.rng import cell_seed, derived_rng
 
 
@@ -143,6 +148,23 @@ def test_sdp_recovers_noisy_pair_plant():
     assert np.allclose(pe.mu1, 0.0)
     out = round_even(pe)
     assert abs(corr(out, x)) == pytest.approx(1.0)
+
+
+def _pairs(n, scopes, rhs):
+    return XorInstance(n, 2, np.array(scopes, dtype=np.int64), np.array(rhs, dtype=np.int8))
+
+
+@pytest.mark.parametrize("inst", [
+    _pairs(2, [[1, 2], [2, 1], [1, 1], [2, 2], [1, 2]], [1, 1, -1, 1, -1]),
+    _pairs(3, [[2, 2], [3, 3], [1, 1]], [1, -1, 1]),
+    _pairs(5, [[1, 2], [2, 1], [3, 4], [4, 3], [3, 4], [5, 1], [1, 5]],
+           [1, -1, 1, 1, -1, -1, -1]),
+    _random_signs_instance(12, 3000, 2, 4),
+], ids=["n2", "diagonal-only", "duplicates-and-cancellation", "random"])
+def test_pair_weights_match_sparse_oracle(inst):
+    w = _pair_weights(inst)
+    assert w.dtype == np.float64
+    assert np.array_equal(w, naive_pair_weights(inst).toarray())
 
 
 # --------------------------------------------------------------- spectral pair

@@ -33,7 +33,9 @@ from rpcsp import (
     value,
 )
 from rpcsp.instances import (
+    _INT64,
     _WRITE_CHUNK_ROWS,
+    _format_rows,
     all_patterns,
     pattern_index,
     read_assignment,
@@ -138,11 +140,22 @@ def test_xor_instance_validates_index_range():
 
 
 def test_clause_products_matches_loop():
-    inst = sample_planted_xor(random_assignment(9, 1), 40, 3, 0.3, 1)
-    x = random_assignment(9, 2)
-    fast = inst.clause_products(x)
-    for row, got in zip(inst.scopes, fast):
-        assert got == np.prod(x[row - 1])
+    n = 9
+    x = random_assignment(n, 2)
+    for k in range(1, 9):
+        scopes = derived_rng(k, 0).integers(1, n + 1, size=(60, k), dtype=np.int64)
+        scopes[::3, -1] = scopes[::3, 0]  # a repeated entry in every third clause
+        inst = XorInstance(n, k, scopes, np.ones(60, dtype=np.int8))
+        fast = inst.clause_products(x)
+        assert fast.dtype == np.int8 and fast.shape == (60,)
+        for row, got in zip(scopes.tolist(), fast.tolist()):
+            want = 1
+            for i in row:
+                want *= int(x[i - 1])
+            assert got == want
+    empty = XorInstance(n, 3, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int8))
+    got = empty.clause_products(x)
+    assert got.dtype == np.int8 and got.shape == (0,)
 
 
 def test_clean_drops_exactly_repeated_scopes():
@@ -449,6 +462,14 @@ def test_write_xor_matches_oracle_bytes(tmp_path, m, k):
     assert _same_bytes(write_xor, naive_write_xor, inst, tmp_path)
 
 
+def test_write_xor_wide_scopes_match_oracle_bytes(tmp_path):
+    n = 10 ** 12
+    scopes = derived_rng(12, 0).integers(1, n + 1, size=(500, 3), dtype=np.int64)
+    scopes[:3] = [[1, n, 10 ** 6], [n - 1, 9, 10], [99, 100, 10 ** 11]]
+    rhs = derived_rng(12, 1).choice(np.array([-1, 1], dtype=np.int8), size=500)
+    assert _same_bytes(write_xor, naive_write_xor, XorInstance(n, 3, scopes, rhs), tmp_path)
+
+
 def test_write_xor_empty_instance_matches_oracle_bytes(tmp_path):
     inst = XorInstance(5, 2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int8))
     assert _same_bytes(write_xor, naive_write_xor, inst, tmp_path)
@@ -465,6 +486,29 @@ def test_write_csp_matches_oracle_bytes(tmp_path, m, k):
 @pytest.mark.parametrize("n", [1, 17, 300])
 def test_write_assignment_matches_oracle_bytes(tmp_path, n):
     assert _same_bytes(write_assignment, naive_write_assignment, random_assignment(n, n), tmp_path)
+
+
+_EDGE_INTS = sorted(
+    {0, 1, -1, int(_INT64.min), int(_INT64.max)}
+    | {s * v for d in range(1, 19) for v in (10 ** d - 1, 10 ** d) for s in (1, -1)}
+)
+
+
+@st.composite
+def _rows_and_signed(draw):
+    r, f = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    values = draw(st.lists(st.sampled_from(_EDGE_INTS), min_size=r * f, max_size=r * f))
+    signed = draw(st.lists(st.booleans(), min_size=f, max_size=f))
+    return np.array(values, dtype=np.int64).reshape(r, f), signed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_and_signed())
+def test_format_rows_matches_percent_format(case):
+    rows, signed = case
+    line = " ".join("%+d" if s else "%d" for s in signed) + "\n"
+    expected = (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    assert _format_rows(rows, signed) == expected.encode("ascii")
 
 
 @pytest.fixture(scope="module")
@@ -532,8 +576,8 @@ def _numpy1_fromstring(text, dtype, sep):
     values = []
     for token in text.split():
         match = _INT_PREFIX.match(token)
-        if match:
-            values.append(int(match.group()))
+        if match:  # saturating at the int64 limits, as fromstring does
+            values.append(min(max(int(match.group()), int(_INT64.min)), int(_INT64.max)))
         if match is None or match.end() < len(token):
             break
     return np.array(values, dtype=dtype)
@@ -562,6 +606,7 @@ def test_readers_match_split_int_oracle(codec_path, kind, body):
     "+1 + 1 2",  # a bare sign merges with the next token in np.fromstring
     " \n\t \n",  # all whitespace parses as [0] in np.fromstring
     "+1 99999999999999999999",  # overflow saturates in np.fromstring
+    " 99999999999999999999 + +1",  # and saturates in the NumPy 1.x emulation too
     "+1 1.5",
     "--1 1",
     "+1 1 -",
