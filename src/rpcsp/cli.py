@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -252,20 +252,8 @@ def _cmd_refute(args) -> int:
     if hasattr(inst, "predicate"):
         raise ParameterError("refute expects an XOR instance")
     rep = refute_report(inst, args.ell, tol=args.tol, seed=seed)
-    payload = {
-        "command": "refute",
-        "delta_hat": rep.delta_hat,
-        "spectral_estimate": rep.spectral_estimate,
-        "num_vertices": rep.num_vertices,
-        "pairs_per_clause": rep.pairs_per_clause,
-        "used_clauses": rep.used_clauses,
-        "dropped_clauses": rep.dropped_clauses,
-        "nnz": rep.nnz,
-        "infile": args.infile,
-        "ell": args.ell,
-        "tol": args.tol,
-        "seed": seed,
-    }
+    payload = {"command": "refute", **asdict(rep),
+               "infile": args.infile, "ell": args.ell, "tol": args.tol, "seed": seed}
     print(json.dumps(_jsonable(payload), sort_keys=True))
     if args.out:
         _write_json(args.out + ".refute.json", payload)

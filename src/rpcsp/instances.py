@@ -569,11 +569,8 @@ def write_xor(inst: XorInstance, path: str):
 
 def read_xor(path: str) -> XorInstance:
     _, n, k, rows = _read_clauses(path, "xor <n> <m> <k>", lambda k: k + 1)
-    rhs = rows[:, 0]
-    if not np.isin(rhs, (-1, 1)).all():
-        raise FormatError("clause rhs must be +-1")
     try:
-        return XorInstance(n, k, rows[:, 1:], rhs)
+        return XorInstance(n, k, rows[:, 1:], rows[:, 0])
     except ParameterError as e:
         raise FormatError(str(e)) from e
 
@@ -586,11 +583,8 @@ def write_csp(inst: CspInstance, path: str):
 
 def read_csp(path: str) -> CspInstance:
     head, n, k, rows = _read_clauses(path, "csp <n> <m> <k> <truth_table_hex>", lambda k: 2 * k)
-    negs = rows[:, 1::2]
-    if not np.isin(negs, (-1, 1)).all():
-        raise FormatError("literal negations must be +-1")
     try:
-        return CspInstance(n, CspPredicate.from_hex(k, head[4]), rows[:, 0::2], negs)
+        return CspInstance(n, CspPredicate.from_hex(k, head[4]), rows[:, 0::2], rows[:, 1::2])
     except ParameterError as e:
         raise FormatError(str(e)) from e
 

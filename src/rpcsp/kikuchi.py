@@ -15,19 +15,20 @@ For z_S = prod_{i in S} x_i the quadratic form collapses to
 
 so ||A|| * C(n,l) / (m * D), plus the fraction of dropped (repeated-entry)
 clauses, upper-bounds max_x over the full instance of the mean signed clause
-value. That bound is what refutation_certificate returns.
+value. refutation_certificate returns it with ||A|| bounded by randomized
+Lanczos on A^2, so it holds except with probability FAILURE_PROB per call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import ceil, comb, log, sqrt
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
-    ConvergenceError,
     FormatError,
     ParameterError,
     ResourceLimitError,
@@ -37,6 +38,8 @@ from .instances import Assignment, XorInstance, atomic_write_bytes, clean, valid
 from .rng import STREAM_SPECTRAL, check_seed, derived_rng
 
 DEFAULT_VERTEX_CAP = 5_000_000
+# Chance, over the random Lanczos start, that spectral_norm misses accuracy tol.
+FAILURE_PROB = 1e-6
 
 
 def _comb_table(n: int, ell: int) -> np.ndarray:
@@ -167,60 +170,71 @@ def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_
                          cleaned.m, inst.m - cleaned.m)
 
 
-def spectral_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float = 1e-3,
-                  max_iters: int = 20000, seed: int = 0) -> float:
-    """Largest singular value estimate by power iteration on A^2.
+def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
+    """Top eigenpair of a symmetric operator by Lanczos with full reorthogonalization.
 
-    The Rayleigh estimate ||A v|| never exceeds ||A|| and is monotone along
-    the iteration, so at convergence it lies in [(1-tol)||A||, ||A||].
-    Raises ConvergenceError (carrying the best estimate) if the iteration
-    budget runs out.
+    Returns (theta, y, steps_taken, residual): the largest Ritz value, its unit
+    Ritz vector, the number of steps run and ||A y - theta y||. The run ends
+    after min(steps, dim) steps, on breakdown (the Krylov space is invariant
+    and theta is an eigenvalue), or once the residual is below rtol * |theta|;
+    rtol = 0 runs every step. Basis rows a short run never reaches stay untouched.
     """
+    basis = np.empty((min(steps, dim), dim))
+    alpha = np.zeros(len(basis))
+    beta = np.zeros(len(basis))
+    basis[0] = v0 / np.linalg.norm(v0)
+    scale = 0.0
+    for j in range(len(basis)):
+        q = basis[: j + 1]
+        w = matvec(q[j])
+        alpha[j] = q[j] @ w
+        for _ in range(2):  # Gram-Schmidt twice keeps q orthonormal to working precision
+            w -= q.T @ (q @ w)
+        beta[j] = np.linalg.norm(w)
+        scale = max(scale, abs(alpha[j]) + beta[j])
+        done = beta[j] <= 1e-12 * scale or j + 1 == len(basis)
+        if rtol > 0 or done:
+            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(j, j))
+            residual = float(beta[j] * abs(s[-1, 0]))
+            if done or residual < rtol * abs(theta[0]):
+                break
+        basis[j + 1] = w / beta[j]
+    return float(theta[0]), q.T @ s[:, 0], j + 1, residual
+
+
+def _certificate_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float, seed: int):
+    """(||A|| estimate, Lanczos steps, residual on A^2); see spectral_norm."""
     if not (1e-8 < tol < 0.5):
         raise ParameterError("tol must lie in (1e-8, 0.5)")
-    if max_iters < 1:
-        raise ParameterError("max_iters must be >= 1")
     a = kik.matrix if isinstance(kik, KikuchiMatrix) else kik
     a = a.tocsr().astype(np.float64)
-    if a.nnz == 0:
-        return 0.0
-    rng = derived_rng(check_seed(seed), STREAM_SPECTRAL)
     dim = a.shape[0]
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    stable = 0
-    for it in range(1, max_iters + 1):
-        w = a @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            continue
-        y = a @ w
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            # w is in the kernel of A but lam = ||w|| > 0 cannot happen for
-            # symmetric A with A v = w != 0; restart defensively.
-            v = rng.standard_normal(dim)
-            v /= np.linalg.norm(v)
-            continue
-        v = y / ny
-        if it >= 30 and lam > 0 and (lam - lam_prev) <= (tol / 8.0) * lam:
-            stable += 1
-            if stable >= 3:
-                return lam
-        else:
-            stable = 0
-        lam_prev = lam
-    raise ConvergenceError(
-        f"spectral norm estimate did not settle in {max_iters} iterations",
-        best_estimate=lam_prev, iterations=max_iters,
-    )
+    eps = tol * (2.0 - tol)
+    steps = ceil((log(1.648 * sqrt(dim) / FAILURE_PROB) / sqrt(eps) + 1) / 2)
+    v0 = derived_rng(check_seed(seed), STREAM_SPECTRAL).standard_normal(dim)
+    theta, _, taken, residual = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
+    return sqrt(max(theta, 0.0)), taken, residual
+
+
+def spectral_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float = 1e-3, seed: int = 0) -> float:
+    """||A|| to relative accuracy tol, except with probability FAILURE_PROB.
+
+    Runs _lanczos on A^2 from a Gaussian start for a step count fixed in
+    advance. By Kuczynski and Wozniakowski (SIAM J. Matrix Anal. Appl. 13(4),
+    1992), after j steps on a PSD matrix of order N the top Ritz value lies
+    below (1 - eps) times the top eigenvalue with probability at most
+    1.648 sqrt(N) exp(-sqrt(eps) (2j - 1)). With eps = tol (2 - tol) the
+    returned sqrt(theta) is at least (1 - tol) ||A||; a Ritz value never
+    exceeds the top eigenvalue. So with probability at least 1 - FAILURE_PROB
+    the estimate lies in [(1 - tol) ||A||, ||A||] and estimate / (1 - tol) >= ||A||.
+    """
+    return _certificate_norm(kik, tol, seed)[0]
 
 
 @dataclass
 class RefutationReport:
+    """The certificate and its inputs; lanczos_steps and residual describe the run on A^2."""
+
     delta_hat: float
     spectral_estimate: float
     num_vertices: int
@@ -228,16 +242,18 @@ class RefutationReport:
     used_clauses: int
     dropped_clauses: int
     nnz: int
+    failure_prob: float
+    lanczos_steps: int
+    residual: float
 
 
-def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
-                  max_iters: int = 20000, seed: int = 0,
+def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0,
                   vertex_cap: int = DEFAULT_VERTEX_CAP) -> RefutationReport:
     if inst.m == 0:
         raise ParameterError("cannot certify an empty instance")
     kik = build_kikuchi(inst, ell, vertex_cap=vertex_cap)
-    lam = 0.0 if kik.matrix.nnz == 0 else spectral_norm(kik, tol=tol, max_iters=max_iters, seed=seed)
-    # lam / (1 - tol) upper-bounds ||A|| at convergence, keeping the bound sound.
+    lam, steps, residual = _certificate_norm(kik, tol, seed)
+    # lam / (1 - tol) upper-bounds ||A|| except with probability FAILURE_PROB.
     dropped_frac = kik.dropped_clauses / inst.m
     delta = (lam / (1.0 - tol)) * kik.num_vertices / (inst.m * kik.pairs_per_clause) + dropped_frac
     return RefutationReport(
@@ -248,15 +264,16 @@ def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
         used_clauses=kik.used_clauses,
         dropped_clauses=kik.dropped_clauses,
         nnz=int(kik.matrix.nnz),
+        failure_prob=FAILURE_PROB,
+        lanczos_steps=steps,
+        residual=residual,
     )
 
 
-def refutation_certificate(inst: XorInstance, ell: int, tol: float = 1e-3,
-                           max_iters: int = 20000, seed: int = 0,
+def refutation_certificate(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0,
                            vertex_cap: int = DEFAULT_VERTEX_CAP) -> float:
-    """Certified upper bound on max_x of the mean signed clause value."""
-    return refute_report(inst, ell, tol=tol, max_iters=max_iters, seed=seed,
-                         vertex_cap=vertex_cap).delta_hat
+    """Upper bound on max_x of the mean signed clause value, except w.p. FAILURE_PROB."""
+    return refute_report(inst, ell, tol=tol, seed=seed, vertex_cap=vertex_cap).delta_hat
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from _oracles import (
 )
 from rpcsp import (
     BackendChoice,
+    ConvergenceError,
     ParameterError,
     PseudoExpectation,
     UnsupportedConfigError,
@@ -185,6 +186,14 @@ def test_spectral_backend_recovers_quad_plant():
     out, deltas, i_star = round_even_detail(pe)
     assert abs(corr(out, x)) == pytest.approx(1.0)
     assert deltas[i_star] <= 0.02
+
+
+def test_spectral_backend_step_cap_raises_with_best_estimate():
+    inst = _random_signs_instance(12, 80, 2, 2)  # 12 vertices at ell = 1
+    with pytest.raises(ConvergenceError) as info:
+        solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(iters=2), 2)
+    assert info.value.best_estimate > 0
+    assert info.value.iterations == 2
 
 
 def test_spectral_backend_on_empty_matrix_is_uninformative():

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 import json
+import math
 import subprocess
 import sys
 
@@ -133,8 +134,11 @@ def test_refute_prints_json_and_dumps_matrix(tmp_path, capsys):
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["delta_hat"] > 0
+    assert printed["failure_prob"] == 1e-6
+    assert 1 <= printed["lanczos_steps"] <= math.comb(20, 2)
+    assert printed["residual"] >= 0
     on_disk = json.loads((tmp_path / "r.refute.json").read_text())
-    assert on_disk["delta_hat"] == printed["delta_hat"]
+    assert on_disk == printed
     n, ell, mat = read_kikuchi_dump(out + ".kik")
     assert (n, ell) == (20, 2)
     assert mat.nnz == on_disk["nnz"]
@@ -216,6 +220,9 @@ def test_malformed_file_exits_two(tmp_path):
     ("bad.xor", b"xor a 1 2\n+1 1 2\n"),
     ("bad.xor", b"\x89PNG\r\n\x1a\n\x00\x00\xff\xfe"),
     ("bad.csp", b"csp 3 1 1 2\n1 \xff\n"),
+    ("rhs0.xor", b"xor 3 1 2\n0 1 2\n"),
+    ("rhs2.xor", b"xor 3 1 2\n2 1 2\n"),
+    ("neg3.csp", b"csp 3 1 1 2\n1 3\n"),
 ])
 def test_corrupt_instance_exits_two_without_traceback(tmp_path, capsys, name, content):
     bad = tmp_path / name
