@@ -216,6 +216,14 @@ def test_spectral_norm_bound_holds_when_the_top_of_the_spectrum_is_crowded():
     assert spectral_norm(a, tol=1e-3) / (1 - 1e-3) >= 1.0
 
 
+def test_certificate_runs_the_step_count_its_failure_probability_needs():
+    # (ln(1.648 sqrt(2024) / 1e-6) / sqrt(eps) + 1) / 2 with eps = tol (2 - tol)
+    rep = refute_report(_random_signs_instance(24, 2000, 4, 5), 3, tol=1e-3, seed=5)
+    assert rep.num_vertices == 2024
+    assert rep.lanczos_steps == 204
+    assert rep.failure_prob == 1e-6
+
+
 @pytest.mark.parametrize("planted", [False, True])
 @pytest.mark.parametrize("k,pad", [(2, 0), (2, 1), (4, 0), (4, 1)])
 def test_spectral_norm_brackets_the_exact_norm(k, pad, planted):
