@@ -38,11 +38,16 @@ Assignment = np.ndarray  # shape (n,), int8, entries +-1
 # assignments and small shared helpers
 
 
+def _all_pm1(a: np.ndarray) -> bool:
+    """Whether every entry equals +1 or -1 (true when empty), as np.isin(a, (-1, 1)) decides."""
+    return bool(((a == 1) | (a == -1)).all())
+
+
 def validate_assignment(x: np.ndarray, n: int | None = None) -> Assignment:
     x = np.asarray(x)
     if x.ndim != 1 or x.size == 0:
         raise ParameterError("assignment must be a nonempty vector")
-    if not np.isin(x, (-1, 1)).all():
+    if not _all_pm1(x):
         raise ParameterError("assignment entries must be +-1")
     if n is not None and x.size != n:
         raise ParameterError(f"assignment has {x.size} entries, expected {n}")
@@ -126,7 +131,7 @@ class XorInstance:
         self.rhs = np.asarray(self.rhs)
         if self.rhs.shape != (self.scopes.shape[0],):
             raise ParameterError("rhs length does not match clause count")
-        if self.rhs.size and not np.isin(self.rhs, (-1, 1)).all():
+        if not _all_pm1(self.rhs):
             raise ParameterError("rhs entries must be +-1")
         self.rhs = self.rhs.astype(np.int8)
 
@@ -156,13 +161,13 @@ def clean(inst: XorInstance) -> tuple[XorInstance, float]:
     """Drop clauses with repeated scope entries.
 
     Returns the restricted instance (order and multiplicity preserved) and
-    the fraction of clauses dropped.
+    the fraction of clauses dropped; inst itself, uncopied, if none is.
     """
-    if inst.m == 0:
-        return inst, 0.0
     distinct = np.ones(inst.m, dtype=bool)
     for i, j in combinations(range(inst.k), 2):
         distinct &= inst.scopes[:, i] != inst.scopes[:, j]
+    if distinct.all():
+        return inst, 0.0
     kept = XorInstance(inst.n, inst.k, inst.scopes[distinct], inst.rhs[distinct])
     return kept, float(1.0 - distinct.mean())
 
@@ -367,7 +372,7 @@ class CspInstance:
         neg = np.asarray(self.negations)
         if neg.shape != self.scopes.shape:
             raise ParameterError("negations shape must match scopes")
-        if neg.size and not np.isin(neg, (-1, 1)).all():
+        if not _all_pm1(neg):
             raise ParameterError("negations must be +-1")
         self.negations = neg.astype(np.int8)
 
@@ -599,6 +604,6 @@ def read_assignment(path: str) -> Assignment:
         vals = _parse_ints(f.read(), "assignment")
     if vals.size == 0:
         raise FormatError("empty assignment file")
-    if not np.isin(vals, (-1, 1)).all():
+    if not _all_pm1(vals):
         raise FormatError("assignment entries must be +-1")
     return vals.astype(np.int8)

@@ -3,9 +3,9 @@
 The XOR solver splits the clause list in half: the first half feeds a
 pseudo-expectation backend whose rounding gives an approximate assignment
 (up to a global sign), and the second half majority-corrects both signed
-versions, keeping whichever scores higher. Arity 1 is plain per-variable
-majority; odd arities at scale are first paired down to an even-arity
-instance for the backend stage.
+versions from one vote tally, keeping whichever scores higher. Arity 1 is
+plain per-variable majority; odd arities at scale are first paired down to
+an even-arity instance for the backend stage.
 
 The CSP solver projects the instance onto XOR instances over position
 subsets (smallest subsets first), solves each side, and returns the first
@@ -25,7 +25,7 @@ from .approx_recovery import (
     solve_pseudo_expectation,
 )
 from .errors import ParameterError
-from .exact_rounding import majority_round_detail
+from .exact_rounding import majority_round_detail, majority_round_signed
 from .fourier import distribution_complexity, fourier_table, subsets_by_size
 from .instances import (
     Assignment,
@@ -150,10 +150,9 @@ def solve_xor(
             stats["stage2"] = "skipped_empty_h2"
             report = SolveReport(x_hat, candidates=[x_hat, -x_hat], stats=stats)
         else:
-            cand_plus, info_plus = majority_round_detail(h2, x_hat)
-            cand_minus, info_minus = majority_round_detail(h2, -x_hat)
+            (cand_plus, info_plus), (cand_minus, info_minus) = majority_round_signed(h2, x_hat)
             val_plus = value(h2, cand_plus)
-            val_minus = value(h2, cand_minus)
+            val_minus = val_plus if cand_minus is cand_plus else value(h2, cand_minus)
             if val_minus > val_plus:
                 out, info, chosen = cand_minus, info_minus, "minus"
             else:

@@ -95,6 +95,48 @@ def naive_clean(inst):
     return kept, float(1.0 - distinct.mean())
 
 
+def naive_majority_detail(inst, x_tilde):
+    """One majority round with its diagnostics, tallied by np.add.at over every vote."""
+    x_tilde = np.asarray(x_tilde, dtype=np.int8)
+    cleaned, dropped = naive_clean(inst)
+    sums = np.zeros(inst.n, dtype=np.int64)
+    counts = np.zeros(inst.n, dtype=np.int64)
+    if cleaned.m:
+        gathered = x_tilde[cleaned.scopes - 1].astype(np.int64)
+        full = cleaned.rhs.astype(np.int64) * gathered.prod(axis=1)
+        flat = (cleaned.scopes - 1).ravel()
+        np.add.at(sums, flat, (full[:, None] * gathered).ravel())
+        np.add.at(counts, flat, 1)
+    out = np.where(sums >= 0, 1, -1).astype(np.int8)
+    covered = counts > 0
+    info = {
+        "empty_votes": int((~covered).sum()),
+        "tied_votes": int(((sums == 0) & covered).sum()),
+        "min_margin": int(np.abs(sums[covered]).min()) if covered.any() else 0,
+        "mean_agreement": float((sums[covered] * out[covered]).sum() / counts[covered].sum())
+        if covered.any() else 0.0,
+        "dropped_fraction": dropped,
+    }
+    return out, info
+
+
+def naive_stage2(h2, x_hat):
+    """solve_xor's stage 2 as two separate rounds, from x_hat and from -x_hat.
+
+    Returns (cand_plus, cand_minus, info_plus, info_minus, [value_plus,
+    value_minus], sign), where sign is "minus" only if that value is higher.
+    """
+    x_hat = np.asarray(x_hat, dtype=np.int8)
+    plus, info_plus = naive_majority_detail(h2, x_hat)
+    minus, info_minus = naive_majority_detail(h2, -x_hat)
+    values = [
+        float(np.mean(np.prod(cand[h2.scopes - 1].astype(np.int64), axis=1) == h2.rhs))
+        for cand in (plus, minus)
+    ]
+    sign = "minus" if values[1] > values[0] else "plus"
+    return plus, minus, info_plus, info_minus, values, sign
+
+
 def greedy_pair_to_even(inst, seed):
     """Greedy first-fit pairing of disjoint clauses over one seeded shuffle.
 

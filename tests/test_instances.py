@@ -35,6 +35,7 @@ from rpcsp import (
 from rpcsp.instances import (
     _INT64,
     _WRITE_CHUNK_ROWS,
+    _all_pm1,
     _format_rows,
     all_patterns,
     pattern_index,
@@ -67,6 +68,39 @@ def test_validate_assignment_rejects_bad_values():
         validate_assignment(np.array([[1, -1]], dtype=np.int8))
     with pytest.raises(ParameterError):
         validate_assignment(np.zeros(0, dtype=np.int8))
+
+
+@pytest.mark.parametrize("a", [
+    np.array([1.0, -1.0]),
+    np.array([1.0, 0.5]),
+    np.array([True]),
+    np.array([True, False]),
+    np.array([0]),
+    np.array([2, 1]),
+    np.array([np.nan, 1.0]),
+    np.array([-np.inf]),
+    np.array([]),
+    np.zeros(0, dtype=np.int8),
+    np.array([-1, 1, 1], dtype=np.int8),
+    np.array([-128], dtype=np.int8),
+    np.array([1, 255], dtype=np.uint8),
+    np.array([[1, -1], [-1, 1]]),
+], ids=repr)
+def test_pm1_check_agrees_with_isin(a):
+    want = bool(np.isin(a, (-1, 1)).all())
+    assert _all_pm1(a) is want
+    if a.ndim == 1 and a.size:
+        if want:
+            assert np.array_equal(validate_assignment(a), a)
+        else:
+            with pytest.raises(ParameterError):
+                validate_assignment(a)
+        build = lambda: XorInstance(2, 1, np.ones((a.size, 1), dtype=np.int64), a)
+        if want:
+            assert build().rhs.dtype == np.int8
+        else:
+            with pytest.raises(ParameterError):
+                build()
 
 
 def test_sign_round_maps_zero_to_plus_one():
@@ -166,6 +200,18 @@ def test_clean_drops_exactly_repeated_scopes():
     assert kept.m == 2
     assert frac == 0.5
     assert np.array_equal(kept.scopes, scopes[[0, 2]])
+
+
+def test_clean_returns_an_instance_with_nothing_to_drop_itself():
+    inst = XorInstance(5, 3, np.array([[1, 2, 3], [3, 4, 5]]), np.array([1, -1]))
+    kept, frac = clean(inst)
+    assert kept is inst and frac == 0.0
+    empty = XorInstance(5, 3, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int8))
+    assert clean(empty)[0] is empty
+    dirty = XorInstance(5, 3, np.array([[1, 2, 3], [2, 2, 5]]), np.array([1, -1]))
+    kept, frac = clean(dirty)
+    assert kept is not dirty and frac == 0.5
+    assert np.array_equal(kept.scopes, [[1, 2, 3]]) and dirty.m == 2
 
 
 def test_clean_fraction_on_full_pair_grid():

@@ -1,8 +1,12 @@
 """Tests for the two-stage XOR solver, arity pairing, and the CSP driver."""
 import numpy as np
 import pytest
-from _oracles import greedy_pair_to_even
+from _oracles import greedy_pair_to_even, naive_stage2
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rpcsp.exact_rounding
+import rpcsp.solver
 from rpcsp import (
     BackendChoice,
     CspInstance,
@@ -19,6 +23,8 @@ from rpcsp import (
     solve_xor,
     value,
 )
+from rpcsp.exact_rounding import majority_round_signed
+from rpcsp.instances import clean
 from rpcsp.reduction import build_xor_side
 from rpcsp.rng import cell_seed, derived_rng
 
@@ -197,6 +203,65 @@ def test_solve_xor_stage_one_ignores_second_half_order():
     b = solve_xor(shuffled, None, BackendChoice.brute(), 3)
     assert np.array_equal(a.stats["stage1_signs"], b.stats["stage1_signs"])
     assert np.array_equal(a.output, b.output)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_stage_two_matches_two_separate_rounds(data):
+    k = data.draw(st.integers(2, 6))
+    n = data.draw(st.integers(k + 2, k + 5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # Variables n - 1 and n are kept out of the random clauses. n - 1 gets
+    # exactly two votes, from one scope with both signs, so its sum ties;
+    # n appears only in a clause with a repeated entry, so it gets none.
+    body = rng.integers(1, n - 1, size=(data.draw(st.integers(0, 20)), k))
+    rows = np.flatnonzero(rng.random(len(body)) < 0.3)
+    body[rows, 1] = body[rows, 0]
+    tie = np.concatenate(([n - 1], rng.choice(np.arange(1, n - 1), size=k - 1, replace=False)))
+    repeated = np.concatenate(([n, n], rng.integers(1, n + 1, size=k - 2)))
+    h2_scopes = np.vstack([body, tie, tie, repeated])
+    h2_rhs = np.concatenate([rng.choice(np.array([-1, 1], np.int8), size=len(body)), [1, -1, 1]])
+    order = rng.permutation(len(h2_scopes))
+    h2 = XorInstance(n, k, h2_scopes[order], h2_rhs[order])
+    h1_m = h2.m + data.draw(st.integers(0, 1))
+    inst = XorInstance(n, k, np.vstack([rng.integers(1, n + 1, size=(h1_m, k)), h2.scopes]),
+                       np.concatenate([rng.choice(np.array([-1, 1], np.int8), size=h1_m), h2.rhs]))
+
+    rep = solve_xor(inst, None, BackendChoice.brute(), 0)
+    x_hat = rep.stats["stage1_signs"]
+    plus, minus, info_plus, info_minus, values, sign = naive_stage2(h2, x_hat)
+    assert info_plus["empty_votes"] >= 1 and info_plus["tied_votes"] >= 1
+    assert info_plus["dropped_fraction"] > 0
+    assert len(rep.candidates) == 2
+    for got, want in zip(rep.candidates, (plus, minus)):
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+    assert rep.stats["stage2_values"] == values
+    assert rep.stats["stage2_sign"] == sign
+    assert rep.stats["majority"] == (info_minus if sign == "minus" else info_plus)
+    assert np.array_equal(rep.output, minus if sign == "minus" else plus)
+    # Both info dicts, from the stage-1 signs and from an arbitrary assignment.
+    x_any = rng.choice(np.array([-1, 1], np.int8), size=n)
+    for x in (x_hat, x_any):
+        want_plus, want_minus, want_ip, want_im, _, _ = naive_stage2(h2, x)
+        (got_plus, got_ip), (got_minus, got_im) = majority_round_signed(h2, x)
+        assert np.array_equal(got_plus, want_plus) and np.array_equal(got_minus, want_minus)
+        assert got_ip == want_ip and got_im == want_im
+
+
+def test_solve_xor_cleans_the_second_half_once(monkeypatch):
+    inst = sample_planted_xor(random_assignment(30, 4), 2000, 2, 0.3, 4)
+    h2_m = inst.m - (inst.m + 1) // 2
+    seen = []
+
+    def counting_clean(arg):
+        seen.append(arg)
+        return clean(arg)
+
+    monkeypatch.setattr(rpcsp.solver, "clean", counting_clean)
+    monkeypatch.setattr(rpcsp.exact_rounding, "clean", counting_clean)
+    solve_xor(inst, None, BackendChoice.sdp_basic(), 4)
+    on_h2 = [a for a in seen if a.m == h2_m and np.array_equal(a.scopes, inst.scopes[-h2_m:])]
+    assert len(on_h2) == 1
 
 
 # ------------------------------------------------------------------- solve_csp
