@@ -90,17 +90,13 @@ def test_pm1_check_agrees_with_isin(a):
     want = bool(np.isin(a, (-1, 1)).all())
     assert _all_pm1(a) is want
     if a.ndim == 1 and a.size:
-        if want:
-            assert np.array_equal(validate_assignment(a), a)
-        else:
-            with pytest.raises(ParameterError):
-                validate_assignment(a)
-        build = lambda: XorInstance(2, 1, np.ones((a.size, 1), dtype=np.int64), a)
-        if want:
-            assert build().rhs.dtype == np.int8
-        else:
-            with pytest.raises(ParameterError):
-                build()
+        rows = np.ones((a.size, 1), dtype=np.int64)
+        for make in (lambda: validate_assignment(a), lambda: XorInstance(2, 1, rows, a)):
+            if want:
+                make()
+            else:
+                with pytest.raises(ParameterError):
+                    make()
 
 
 def test_sign_round_maps_zero_to_plus_one():
