@@ -9,6 +9,17 @@ clause produces exactly
 stored entries of the full symmetric matrix (ordered pairs), all carrying the
 clause's rhs. Duplicate clause-sets accumulate additively.
 
+build_kikuchi sorts each clause set with a compare-exchange network and keys
+it by one int64, its colex rank among the k-subsets, so one argsort groups
+the copies of a set and one bincount sums their rhs. Each surviving set then
+emits its D entries at once: row rank S = A + W and column rank T = B + W
+for each half split (A, B) and pad W outside the set. No (S, T) arises
+twice, because (set, split, pad) -> (S, T) is injective: C = S xor T, then
+A = S & C and W = S - C. While C(n, l) < 2^31 the rank arithmetic runs in
+int32, the index type the CSR keeps, so no int64 row or column array is
+built. DEFAULT_ENTRY_CAP bounds used clauses times D before any per-entry
+array exists.
+
 For z_S = prod_{i in S} x_i the quadratic form collapses to
 
     z^T A z = D * sum_{C in H'} b_C x_C,
@@ -38,18 +49,22 @@ from .instances import Assignment, XorInstance, atomic_write_bytes, clean, valid
 from .rng import STREAM_SPECTRAL, check_seed, derived_rng
 
 DEFAULT_VERTEX_CAP = 5_000_000
+# build_kikuchi peaks at about 18 traced bytes per stored entry and returns
+# 12 (int32 index, int64 value), so the cap keeps a build under about 1 GB.
+DEFAULT_ENTRY_CAP = 50_000_000
 # Chance, over the random Lanczos start, that spectral_norm misses accuracy tol.
 FAILURE_PROB = 1e-6
 
 
-def _comb_table(n: int, ell: int) -> np.ndarray:
-    """table[v, j] = C(v, j) for 0 <= v <= n, 0 <= j <= ell."""
-    t = np.zeros((n + 1, ell + 1), dtype=np.int64)
-    t[:, 0] = 1
-    for v in range(1, n + 1):
-        for j in range(1, ell + 1):
-            t[v, j] = t[v - 1, j] + t[v - 1, j - 1]
-    return t
+def _comb_table(n: int, ell: int, dtype=np.int64) -> np.ndarray:
+    """table[v, j] = C(v, j) for 0 <= v <= n, 0 <= j <= ell, capped at dtype's max.
+
+    A colex rank reads only terms no larger than itself, so a rank that fits
+    dtype never reads a capped entry.
+    """
+    top = np.iinfo(dtype).max
+    return np.array([[min(comb(v, j), top) for j in range(ell + 1)] for v in range(n + 1)],
+                    dtype=dtype)
 
 
 def subset_rank(elems: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -86,20 +101,44 @@ def all_subsets(n: int, ell: int) -> np.ndarray:
 
 
 def _union_rank(a: list, w: list, table: np.ndarray) -> np.ndarray:
-    """Colex rank of the union of disjoint sorted sets A and W.
+    """Colex rank of the union of disjoint sorted sets A and W, in table's dtype.
 
-    a and w list the sets' elements by position, as broadcastable arrays. An
-    element's position in the sorted union is its own index plus the number
-    of smaller elements in the other set, so no per-row sort is needed.
+    a and w list the sets' elements by position, as broadcastable arrays of
+    table's dtype. An element's position in the sorted union is its own index
+    plus the number of smaller elements in the other set, so no per-row sort
+    is needed. The sets are disjoint, so A_i's count is |W| minus the W_j
+    above it. Comparisons are redone per element rather than kept, so the
+    full-shape temporaries are the rank, one index array and one gather.
     """
     width = table.shape[1]
     flat = table.ravel()
-    rank = 0
-    for part, other in ((a, w), (w, a)):
-        for i, e in enumerate(part):
-            pos = i + 1 + sum(o < e for o in other)
-            rank = rank + flat.take(e * width + pos)
+    rank = np.zeros(np.broadcast_shapes(*(e.shape for e in a + w)), dtype=table.dtype)
+    for i, e in enumerate(a):
+        idx = np.broadcast_to(e * width + (i + 1 + len(w)), rank.shape).copy()
+        for o in w:
+            idx -= e < o
+        rank += flat[idx]
+    for j, e in enumerate(w):
+        idx = np.broadcast_to(e * width + (j + 1), rank.shape).copy()
+        for o in a:
+            idx += o < e
+        rank += flat[idx]
     return rank
+
+
+def _network_sort(sets: np.ndarray) -> np.ndarray:
+    """Sorts a (k, m) array along axis 0 in place, by compare-exchange.
+
+    Odd-even transposition: k rounds of compare-exchanges between neighbouring
+    rows sort any k values, one np.minimum and one np.maximum per pair.
+    """
+    k = len(sets)
+    for r in range(k):
+        for i in range(r % 2, k - 1, 2):
+            lo = np.minimum(sets[i], sets[i + 1])
+            np.maximum(sets[i], sets[i + 1], out=sets[i + 1])
+            sets[i] = lo
+    return sets
 
 
 @dataclass
@@ -133,39 +172,56 @@ def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_
     if ell - k // 2 > inst.n - k:
         raise ParameterError("ell too large: clause complements cannot fill a vertex")
     num_vertices = _vertex_count(inst.n, ell, vertex_cap)
+    if comb(inst.n, k) > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"C({inst.n},{k}) clause-set keys exceed int64")
     cleaned, _ = clean(inst)
     pairs_per_clause = comb(k, k // 2) * comb(inst.n - k, ell - k // 2)
+    if cleaned.m * pairs_per_clause > DEFAULT_ENTRY_CAP:
+        raise ResourceLimitError(f"{cleaned.m} clauses x {pairs_per_clause} entries each "
+                                 f"exceed the entry cap {DEFAULT_ENTRY_CAP}")
 
-    table = _comb_table(inst.n, ell)
-    # 0-based and sorted; int32 halves the per-entry element arrays gathered below.
-    sets = (np.sort(cleaned.scopes, axis=1) - 1).astype(np.int32)
-    # Equal sets are adjacent once sorted lexicographically; each run's rhs
-    # sum is its weight. A set of weight 0 contributes only zero entries,
-    # since S xor T fixes the clause set, so it is dropped here.
-    order = np.lexsort(sets.T[::-1])
-    sets = sets[order]
-    new = np.ones(len(sets), dtype=bool)
-    new[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    # Ranks below C(n, l) fit the int32 indices CSR keeps, so the rank
+    # arithmetic runs in them and no int64 row or column array exists.
+    itype = np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64
+    # 0-based clause sets as the k rows of a (k, m) array, each column sorted.
+    sets = _network_sort(np.array(cleaned.scopes.T, dtype=itype) - 1)
+    # One int64 key per set, its colex rank among the k-subsets: equal keys
+    # are equal sets, so one argsort puts each set's copies in one run, and
+    # each run's rhs sum is its weight. A set of weight 0 contributes only
+    # zero entries, since S xor T fixes the clause set, so it is dropped here.
+    key = subset_rank(sets.T, _comb_table(inst.n, k))
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[1:] != key[:-1]
     weights = np.bincount(np.cumsum(new) - 1, weights=cleaned.rhs[order]).astype(np.int64)
     keep = weights != 0
-    uniq, weights = sets[new][keep], weights[keep]
+    uniq, weights = sets[:, order[new][keep]], weights[keep]
 
     # Every entry at once: S = A + W, T = B + W for each half split (A, B) of
     # each clause set and each pad W outside it, shaped (clause, split, pad).
     half = k // 2
     splits = np.array(list(combinations(range(k), half)), dtype=np.int64).reshape(-1, half)
-    # Complementing a half reverses lex order, so B's positions are the splits backwards.
-    rests = splits[::-1]
     pads = np.array(list(combinations(range(inst.n - k), ell - half)),
-                    dtype=np.int64).reshape(comb(inst.n - k, ell - half), ell - half)
+                    dtype=itype).reshape(comb(inst.n - k, ell - half), ell - half)
     # The p-th element outside a sorted set c is p + #{j : c_j - j <= p}.
-    shift = (uniq - np.arange(k)).T
-    w = [(p + (shift[:, :, None] <= p).sum(axis=0))[:, None] for p in pads.T]
-    rows = _union_rank([uniq[:, j, None] for j in splits.T], w, table).ravel()
-    cols = _union_rank([uniq[:, j, None] for j in rests.T], w, table).ravel()
-    data = np.repeat(weights, len(splits) * len(pads))
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices),
-                        dtype=np.int64).tocsr()
+    shift = uniq - np.arange(k, dtype=itype)[:, None]
+    w = [(p + (shift[:, :, None] <= p).sum(axis=0, dtype=itype))[:, None] for p in pads.T]
+    a = [uniq[j].T[:, :, None] for j in splits.T]
+    ranks = _union_rank(a, w, _comb_table(inst.n, ell, itype))
+    # Complementing a half reverses lex order, so B's split is A's read
+    # backwards and the column ranks are the row ranks with the splits reversed.
+    rows, cols = ranks.ravel(), ranks[:, ::-1].ravel()
+    # Entries are stored in the narrowest signed type that holds every weight
+    # and widened once the CSR exists.
+    small = np.min_scalar_type(-1 - int(np.abs(weights).max(initial=0)))
+    data = np.repeat(weights.astype(small), len(splits) * len(pads))
+    # No entry repeats: (clause set, split, pad) -> (S, T) is injective, since
+    # S xor T = C, S & C = A and S - C = W. The conversion sums nothing; it
+    # counts the rows and sorts each row's columns.
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices)).tocsr()
+    del ranks, rows, cols, data  # freed before the widening copy, which sets the peak
+    mat.data = mat.data.astype(np.int64)
     return KikuchiMatrix(inst.n, ell, k, mat, pairs_per_clause, num_vertices,
                          cleaned.m, inst.m - cleaned.m)
 

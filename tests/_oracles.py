@@ -9,7 +9,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from rpcsp import CspInstance, CspPredicate, FormatError, ParameterError, XorInstance
+from rpcsp import CspInstance, CspPredicate, FormatError, ParameterError, XorInstance, clean
+from rpcsp.kikuchi import KikuchiMatrix
 from rpcsp.rng import STREAM_PAIRING, derived_rng
 
 
@@ -95,8 +96,11 @@ def naive_clean(inst):
     return kept, float(1.0 - distinct.mean())
 
 
-def naive_majority_detail(inst, x_tilde):
-    """One majority round with its diagnostics, tallied by np.add.at over every vote."""
+def naive_majority_detail(inst, x_tilde, unvoted=1):
+    """One majority round with its diagnostics, tallied by np.add.at over every vote.
+
+    A variable with no vote gets unvoted: +1, or its entry of a sign vector.
+    """
     x_tilde = np.asarray(x_tilde, dtype=np.int8)
     cleaned, dropped = naive_clean(inst)
     sums = np.zeros(inst.n, dtype=np.int64)
@@ -107,8 +111,9 @@ def naive_majority_detail(inst, x_tilde):
         flat = (cleaned.scopes - 1).ravel()
         np.add.at(sums, flat, (full[:, None] * gathered).ravel())
         np.add.at(counts, flat, 1)
-    out = np.where(sums >= 0, 1, -1).astype(np.int8)
     covered = counts > 0
+    out = np.where(sums >= 0, 1, -1).astype(np.int8)
+    out[~covered] = np.broadcast_to(unvoted, out.shape)[~covered]
     info = {
         "empty_votes": int((~covered).sum()),
         "tied_votes": int(((sums == 0) & covered).sum()),
@@ -123,12 +128,15 @@ def naive_majority_detail(inst, x_tilde):
 def naive_stage2(h2, x_hat):
     """solve_xor's stage 2 as two separate rounds, from x_hat and from -x_hat.
 
-    Returns (cand_plus, cand_minus, info_plus, info_minus, [value_plus,
-    value_minus], sign), where sign is "minus" only if that value is higher.
+    A variable with no vote keeps its sign in the assignment voted from; for
+    odd k the round from -x_hat casts the same votes as the one from x_hat,
+    and both keep x_hat there. Returns (cand_plus, cand_minus, info_plus,
+    info_minus, [value_plus, value_minus], sign), where sign is "minus" only
+    if that value is higher.
     """
     x_hat = np.asarray(x_hat, dtype=np.int8)
-    plus, info_plus = naive_majority_detail(h2, x_hat)
-    minus, info_minus = naive_majority_detail(h2, -x_hat)
+    plus, info_plus = naive_majority_detail(h2, x_hat, unvoted=x_hat)
+    minus, info_minus = naive_majority_detail(h2, -x_hat, unvoted=x_hat if h2.k % 2 else -x_hat)
     values = [
         float(np.mean(np.prod(cand[h2.scopes - 1].astype(np.int64), axis=1) == h2.rhs))
         for cand in (plus, minus)
@@ -180,6 +188,54 @@ def naive_kikuchi(inst, ell):
         for c, t in enumerate(verts):
             out[r, c] = weight.get(frozenset(s) ^ frozenset(t), 0)
     return out
+
+
+def _pairwise_union_rank(a, w, table):
+    """Colex rank of the union of disjoint sorted sets A and W, one comparison per position."""
+    width = table.shape[1]
+    flat = table.ravel()
+    rank = 0
+    for part, other in ((a, w), (w, a)):
+        for i, e in enumerate(part):
+            pos = i + 1 + sum(o < e for o in other)
+            rank = rank + flat.take(e * width + pos)
+    return rank
+
+
+def lexsort_kikuchi(inst, ell):
+    """build_kikuchi through a row sort, a lexsort dedupe and int64 ranks.
+
+    Sorts each scope row with np.sort, finds equal clause sets with
+    np.lexsort and a k-column compare of neighbouring rows, ranks the rows
+    and the columns separately in int64, and sums them into CSR through COO.
+    """
+    k, n = inst.k, inst.n
+    dim = math.comb(n, ell)
+    cleaned, _ = clean(inst)
+    table = np.array([[math.comb(v, j) for j in range(ell + 1)] for v in range(n + 1)],
+                     dtype=np.int64)
+    sets = (np.sort(cleaned.scopes, axis=1) - 1).astype(np.int32)
+    order = np.lexsort(sets.T[::-1])
+    sets = sets[order]
+    new = np.ones(len(sets), dtype=bool)
+    new[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    weights = np.bincount(np.cumsum(new) - 1, weights=cleaned.rhs[order]).astype(np.int64)
+    keep = weights != 0
+    uniq, weights = sets[new][keep], weights[keep]
+    half = k // 2
+    splits = np.array(list(itertools.combinations(range(k), half)), dtype=np.int64)
+    splits = splits.reshape(-1, half)
+    rests = splits[::-1]
+    pads = np.array(list(itertools.combinations(range(n - k), ell - half)), dtype=np.int64)
+    pads = pads.reshape(math.comb(n - k, ell - half), ell - half)
+    shift = (uniq - np.arange(k)).T
+    w = [(p + (shift[:, :, None] <= p).sum(axis=0))[:, None] for p in pads.T]
+    rows = _pairwise_union_rank([uniq[:, j, None] for j in splits.T], w, table).ravel()
+    cols = _pairwise_union_rank([uniq[:, j, None] for j in rests.T], w, table).ravel()
+    data = np.repeat(weights, len(splits) * len(pads))
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.int64).tocsr()
+    return KikuchiMatrix(n, ell, k, mat, math.comb(k, half) * math.comb(n - k, ell - half),
+                         dim, cleaned.m, inst.m - cleaned.m)
 
 
 def naive_pair_weights(inst):

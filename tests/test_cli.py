@@ -296,6 +296,15 @@ def test_resource_limit_exits_three(tmp_path):
     assert code == 3  # vertex table over the cap
 
 
+def test_refute_over_the_entry_cap_exits_three(tmp_path):
+    gen = str(tmp_path / "g")
+    _run(["generate", "xor", "--n", "60", "--k", "4", "--m", "20000",
+          "--eps", "0.5", "--seed", "1", "--out", gen])
+    code = _run(["refute", "--in", gen + ".xor", "--ell", "4",
+                 "--seed", "1", "--out", str(tmp_path / "o")])
+    assert code == 3  # about 185M entries, over the entry cap
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "rpcsp", "--help"],
                           capture_output=True, text=True)

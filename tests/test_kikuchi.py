@@ -1,5 +1,6 @@
 """Tests for the induced-subset matrix, its spectrum, and refutation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_max_advantage, naive_kikuchi
+from _oracles import brute_max_advantage, lexsort_kikuchi, naive_kikuchi
 from rpcsp import (
     FormatError,
     ParameterError,
@@ -22,6 +23,7 @@ from rpcsp import (
     spectral_norm,
 )
 from rpcsp.kikuchi import (
+    DEFAULT_ENTRY_CAP,
     DEFAULT_VERTEX_CAP,
     _TRIPLE,
     all_subsets,
@@ -30,6 +32,7 @@ from rpcsp.kikuchi import (
     subset_rank,
     write_kikuchi_dump,
     _comb_table,
+    _union_rank,
 )
 from rpcsp.rng import cell_seed, derived_rng
 
@@ -94,6 +97,15 @@ def test_duplicate_clauses_accumulate_weight():
     assert kik.used_clauses == 3
 
 
+def test_heavy_clause_set_keeps_its_full_weight():
+    # 300 copies of one set: a weight past int8, stored exactly as the lexsort builder does.
+    scopes = np.array([[1, 2], [2, 1]] * 150 + [[3, 4]], dtype=np.int64)
+    inst = XorInstance(4, 2, scopes, np.array([1] * 300 + [-1], dtype=np.int8))
+    got, want = build_kikuchi(inst, 1).matrix, lexsort_kikuchi(inst, 1).matrix
+    assert got[0, 1] == 300 and got.dtype == np.int64
+    assert np.array_equal(got.data, want.data) and np.array_equal(got.indices, want.indices)
+
+
 # (k, n, ell): pad ell - k/2 of 0, 1 and >= 2, and the boundary pad = n - k
 NAIVE_CASES = [
     (2, 6, 1), (2, 6, 2), (2, 7, 3), (2, 5, 4),
@@ -146,6 +158,55 @@ def test_build_kikuchi_all_clauses_dropped_matches_oracle(k):
     assert kik.matrix.nnz == 0
     assert np.array_equal(kik.matrix.toarray(), naive_kikuchi(inst, k // 2 + 1))
     assert kik.used_clauses == 0 and kik.dropped_clauses == 2
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_union_rank_is_the_rank_of_the_sorted_union(dtype):
+    n, h, q = 12, 2, 3
+    rng = derived_rng(cell_seed(312, h, q), 0)
+    elems = np.array([rng.choice(n, size=h + q, replace=False) for _ in range(200)])
+    a, w = np.sort(elems[:, :h], axis=1), np.sort(elems[:, h:], axis=1)
+    got = _union_rank([c.astype(dtype) for c in a.T], [c.astype(dtype) for c in w.T],
+                      _comb_table(n, h + q, dtype))
+    assert got.dtype == dtype
+    assert np.array_equal(got, subset_rank(np.sort(elems, axis=1), _comb_table(n, h + q)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_build_kikuchi_matches_the_lexsort_builder(data):
+    k = data.draw(st.sampled_from([2, 4, 6, 8]))
+    ell = data.draw(st.integers(k // 2, k // 2 + 2))
+    n = data.draw(st.integers(k + ell - k // 2, k + 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [rng.integers(1, n + 1, size=k) for _ in range(data.draw(st.integers(0, 20)))]
+    rhs = list(rng.choice(np.array([-1, 1], np.int8), size=len(rows)))
+    # A few sets, each in several orders; a set whose signs pair off cancels.
+    for _ in range(data.draw(st.integers(0, 3))):
+        base = rng.choice(np.arange(1, n + 1), size=k, replace=False)
+        signs = [1, -1] * data.draw(st.integers(1, 2)) if data.draw(st.booleans()) \
+            else list(rng.choice([-1, 1], size=data.draw(st.integers(1, 4))))
+        rows += [rng.permutation(base) for _ in signs]
+        rhs += signs
+    rows.append(rng.integers(1, n + 1, size=k))
+    rhs.append(1)
+    scopes = np.array(rows, dtype=np.int64)
+    if data.draw(st.booleans()):
+        scopes[:, 1] = scopes[:, 0]  # every clause repeats an entry and is dropped
+    else:
+        some = rng.random(len(scopes)) < 0.2
+        scopes[some, 1] = scopes[some, 0]  # these repeat an entry
+    order = rng.permutation(len(scopes))
+    inst = XorInstance(n, k, scopes[order], np.array(rhs, dtype=np.int8)[order])
+
+    got, want = build_kikuchi(inst, ell), lexsort_kikuchi(inst, ell)
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got.matrix, name), getattr(want.matrix, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert got.matrix.data.dtype == np.int64 and got.matrix.indices.dtype == np.int32
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.has_canonical_format
+    assert (got.used_clauses, got.dropped_clauses) == (want.used_clauses, want.dropped_clauses)
 
 
 def test_quadratic_form_identity_random():
@@ -293,6 +354,27 @@ def test_build_respects_vertex_cap():
     inst = _random_signs_instance(40, 10, 4, 4)
     with pytest.raises(ResourceLimitError):
         build_kikuchi(inst, 3, vertex_cap=1000)
+
+
+def test_entry_cap_raises_before_any_entry_array_exists():
+    # n = 60, m = 20,000, l = 4: 6 C(56, 2) = 9,240 entries per clause, about 185M in all.
+    inst = _random_signs_instance(60, 20_000, 4, 7)
+    assert inst.m * 6 * math.comb(56, 2) > DEFAULT_ENTRY_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            build_kikuchi(inst, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # one byte per entry would be 185 MB
+
+
+def test_clause_set_keys_must_fit_int64():
+    # C(70, 34) > 2^63; only a raised vertex cap lets C(70, 17) vertices through.
+    inst = XorInstance(70, 34, np.arange(1, 35, dtype=np.int64)[None, :], np.ones(1, np.int8))
+    with pytest.raises(ResourceLimitError, match="int64"):
+        build_kikuchi(inst, 17, vertex_cap=10 ** 18)
 
 
 # ------------------------------------------------------------------ dump format

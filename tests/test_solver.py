@@ -248,6 +248,20 @@ def test_stage_two_matches_two_separate_rounds(data):
         assert got_ip == want_ip and got_im == want_im
 
 
+def test_stage_two_keeps_the_stage_one_sign_of_a_variable_with_no_vote():
+    # Noiseless 3-XOR drawn as the benchmark's tiny xor3-brute input of seed 3,
+    # op 1492. Stage 1 finds x* exactly; one variable gets no vote from the
+    # cleaned second half, and a +1 there would lose a fifth of the clauses.
+    rng = np.random.default_rng(np.random.SeedSequence([3, 1492]))
+    x_star = rng.choice(np.array([-1, 1], dtype=np.int8), size=10)
+    seed = int(rng.integers(2 ** 63))
+    rep = solve_xor(sample_planted_xor(x_star, 100, 3, 0.5, seed), None, BackendChoice.brute(), seed)
+    assert np.array_equal(rep.stats["stage1_signs"], x_star)
+    assert rep.stats["majority"]["empty_votes"] == 1
+    assert np.array_equal(rep.output, x_star)
+    assert rep.stats["value"] == 1.0
+
+
 def test_solve_xor_cleans_the_second_half_once(monkeypatch):
     inst = sample_planted_xor(random_assignment(30, 4), 2000, 2, 0.3, 4)
     h2_m = inst.m - (inst.m + 1) // 2
