@@ -3,17 +3,18 @@
 A surrogate is a first-moment vector mu1 and a second-moment matrix m2 with
 unit diagonal, entries in [-1,1], m2 PSD, and the bordered block
 [[1, mu1^T], [mu1, m2]] PSD (all up to a -1e-8 eigenvalue tolerance). Three
-backends produce one:
+backends produce one that holds them by construction; validate checks them:
 
 - brute: exact moments of the uniform distribution over the argmax set of the
   signed clause objective, for small n. The objective of every assignment is
   one Walsh-Hadamard transform of the clause-mask histogram, and the moments
   are a second transform, of the argmax indicator;
 - sdp_basic: low-rank coordinate ascent over unit vectors for arity 2,
-  returning the Gram matrix with mu1 = 0;
+  returning the Gram matrix normalized to unit diagonal, with mu1 = 0;
 - kikuchi_spectral: top eigenvector of the level-l lift for even arity, by
   Lanczos with full reorthogonalization from a seeded random start,
-  averaged back down to an n x n matrix, with mu1 = 0.
+  averaged back down to an n x n Gram matrix and normalized to unit
+  diagonal, so no projection, with mu1 = 0.
 
 The zero mu1 of the non-brute backends is deliberate: the global sign is
 unidentifiable there and the solver resolves it in its second stage.
@@ -21,15 +22,14 @@ unidentifiable there and the solver resolves it in its second stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, ParameterError, UnsupportedConfigError
 from .fourier import walsh_hadamard
 from .instances import Assignment, XorInstance, sign_round, validate_assignment
-from .kikuchi import _comb_table, _lanczos, all_subsets, build_kikuchi, subset_rank
+from .kikuchi import _lanczos, build_kikuchi
 from .rng import STREAM_BACKEND, check_seed, derived_rng
 
 PSD_TOL = 1e-8
@@ -187,6 +187,20 @@ def _pair_weights(inst: XorInstance) -> np.ndarray:
     return w
 
 
+def _unit_gram(g: np.ndarray) -> np.ndarray:
+    """D^{-1/2} g D^{-1/2} with D = diag(g), in place, with diagonal exactly 1.
+
+    A Gram g stays PSD with entries in [-1, 1] (Cauchy-Schwarz); a row with
+    diagonal <= 0, a zero vector, becomes e_i.
+    """
+    d = np.diag(g)
+    scale = np.divide(1.0, np.sqrt(np.maximum(d, 0.0)), out=np.zeros_like(d), where=d > 0)
+    g *= scale[:, None]
+    g *= scale
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
 def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> PseudoExpectation:
     if inst.k != 2:
         raise UnsupportedConfigError(f"sdp_basic handles arity 2, got k={inst.k}")
@@ -211,29 +225,15 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
         if obj - obj_prev <= 1e-12 * max(1.0, abs(obj)) and it >= 5:
             break
         obj_prev = obj
-    m2 = np.clip(v @ v.T, -1.0, 1.0)
-    np.fill_diagonal(m2, 1.0)
-    pe = PseudoExpectation(
+    m2 = _unit_gram(v @ v.T)
+    return PseudoExpectation(
         n, np.zeros(n), m2, backend="sdp_basic",
         info={"objective": clause_objective(inst, m2), "rank": rank, "iters": iters_run},
     )
-    return pe
 
 
 # ---------------------------------------------------------------------------
 # kikuchi_spectral backend (even arity)
-
-
-def _psd_project_unit_diag(m: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues, then rescale back to a unit diagonal."""
-    sym = (m + m.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.maximum(vals, 0.0)
-    proj = (vecs * vals) @ vecs.T
-    d = np.maximum(np.diag(proj).copy(), 1e-12)
-    proj /= np.sqrt(np.outer(d, d))
-    np.fill_diagonal(proj, 1.0)
-    return np.clip(proj, -1.0, 1.0)
 
 
 def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> PseudoExpectation:
@@ -253,25 +253,7 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Ps
     if residual >= RITZ_RTOL * abs(top):
         raise ConvergenceError(f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
                                best_estimate=top, iterations=steps)
-    w = v * sqrt(dim) / np.linalg.norm(v)
-
-    # Average w_S * w_T over the C(n-2, l-1) vertex pairs with S xor T = {i,j}.
-    # Row r of all_subsets has colex rank r, so w is already indexed by subset.
-    subs = all_subsets(n, ell)
-    table = _comb_table(n, ell)
-    rows, cols, data = [], [], []
-    for p in range(ell):
-        rows.append(subs[:, p])
-        cols.append(subset_rank(np.delete(subs, p, axis=1), table))
-        data.append(w)
-    u = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, comb(n, ell - 1)),
-    ).tocsr()
-    raw = (u @ u.T).toarray() / comb(n - 2, ell - 1)
-    m2 = np.clip(raw, -1.0, 1.0)
-    np.fill_diagonal(m2, 1.0)
-    m2 = _psd_project_unit_diag(m2)
+    m2 = _unit_gram(kik.pair_gram(v))
     return PseudoExpectation(n, np.zeros(n), m2, backend="kikuchi_spectral",
                              info={"top_eigenvalue": top, "ell": ell,
                                    "lanczos_steps": steps, "residual": residual})

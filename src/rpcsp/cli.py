@@ -47,7 +47,7 @@ from .instances import (
 )
 from .kikuchi import build_kikuchi, refute_report, write_kikuchi_dump
 from .rng import cell_seed, check_seed
-from .solver import solve_csp, solve_xor
+from .solver import default_ell, solve_csp, solve_xor
 
 MANIFEST_SCHEMA = "rpcsp-manifest-v1"
 SWEEP_SCHEMA = "rpcsp-sweep-v1"
@@ -291,14 +291,13 @@ def _cmd_sweep(args) -> int:
         raise ParameterError("trials must be >= 1")
     if args.jobs < 1:
         raise ParameterError("jobs must be >= 1")
+    ell = args.ell if args.ell is not None else default_ell(args.k)
     tasks = []
     for n in n_list:
         for eps in eps_list:
-            m = eval_m_rule(args.m_rule, n=n, k=args.k, eps=eps,
-                            l=args.ell if args.ell is not None else args.k,
-                            C=args.constant)
+            m = eval_m_rule(args.m_rule, n=n, k=args.k, eps=eps, l=ell, C=args.constant)
             for trial in range(args.trials):
-                tasks.append((n, args.k, eps, m, args.ell, args.backend,
+                tasks.append((n, args.k, eps, m, ell, args.backend,
                               args.rank, args.iters, args.cap, seed, trial))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -320,9 +319,8 @@ def _cmd_sweep(args) -> int:
             exact = sum(r["exact"] for r in rows)
             mcorr = float(np.mean([r["stage1_corr"] for r in rows]))
             mrt = float(np.mean([r["runtime_s"] for r in rows]))
-            ell_str = args.ell if args.ell is not None else ""
             lines.append(
-                f"{n},{args.k},{eps},{rows[0]['m']},{ell_str},{args.backend},"
+                f"{n},{args.k},{eps},{rows[0]['m']},{ell},{args.backend},"
                 f"{args.trials},{exact},{mcorr:.6f},{mrt:.6f}"
             )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
@@ -401,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--m-rule", required=True,
                    help="expression in n, k, eps, l, C, e.g. 'C*n*log(n)/eps^2'")
     w.add_argument("--constant", type=float, default=1.0)
-    w.add_argument("--ell", type=int)
+    w.add_argument("--ell", type=int, help="Kikuchi level and the l of --m-rule; "
+                   "default k/2 for even k and k for odd k, as in solve_xor")
     w.add_argument("--backend", choices=["brute", "sdp_basic", "kikuchi_spectral"],
                    required=True)
     w.add_argument("--rank", type=int)

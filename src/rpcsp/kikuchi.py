@@ -157,6 +157,19 @@ class KikuchiMatrix:
         x = validate_assignment(x, self.n)
         return np.prod(x[all_subsets(self.n, self.ell)], axis=1, dtype=np.int8)
 
+    def pair_gram(self, w: np.ndarray) -> np.ndarray:
+        """U U^T as a dense n x n array, where U[i, R] = w_{R + i} for i outside R.
+
+        Entry (i, j) sums w_S w_T over the C(n-2, l-1) vertex pairs with S - T = {i}
+        and T - S = {j}; entry (i, i) sums w_S^2 over the S holding i. At l = 1 it is w w^T.
+        """
+        # Row r of all_subsets has colex rank r, so w is already indexed by subset.
+        subs, table = all_subsets(self.n, self.ell), _comb_table(self.n, self.ell)
+        cols = [subset_rank(np.delete(subs, p, axis=1), table) for p in range(self.ell)]
+        u = sp.coo_matrix((np.tile(w, self.ell), (subs.T.ravel(), np.concatenate(cols))),
+                          shape=(self.n, comb(self.n, self.ell - 1))).tocsr()
+        return (u @ u.T).toarray()
+
     def quadratic_form(self, x: Assignment) -> int:
         z = self.parity_vector(x).astype(np.int64)
         return int(z @ (self.matrix @ z))

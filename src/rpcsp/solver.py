@@ -13,7 +13,7 @@ candidate that satisfies every clause.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -83,6 +83,11 @@ def pair_to_even(inst: XorInstance, seed: int) -> XorInstance:
     return XorInstance(inst.n, 2 * inst.k, scopes, rhs)
 
 
+def default_ell(k: int) -> int:
+    """solve_xor's Kikuchi level when none is given: half the stage-1 arity (2k if k is odd)."""
+    return k // 2 if k % 2 == 0 else k
+
+
 def _slice(inst: XorInstance, lo: int, hi: int) -> XorInstance:
     return XorInstance(inst.n, inst.k, inst.scopes[lo:hi], inst.rhs[lo:hi])
 
@@ -97,9 +102,8 @@ def solve_xor(
     """Two-stage recovery; see the module docstring.
 
     ell is the Kikuchi level for the kikuchi_spectral backend; None picks
-    half the stage-1 arity. For odd k with a non-brute backend the stage-1
-    instance is the paired arity-2k instance, and the backend preconditions
-    apply to it.
+    default_ell(k). For odd k with a non-brute backend the stage-1 instance
+    is the paired arity-2k instance, and the backend preconditions apply to it.
     """
     if inst.m == 0:
         raise ParameterError("cannot solve an empty instance")
@@ -129,10 +133,7 @@ def solve_xor(
 
         eff_backend = backend
         if backend.kind == "kikuchi_spectral" and backend.ell is None:
-            eff_backend = BackendChoice(
-                "kikuchi_spectral", iters=backend.iters,
-                ell=ell if ell is not None else stage1.k // 2,
-            )
+            eff_backend = replace(backend, ell=ell if ell is not None else default_ell(inst.k))
         pe = solve_pseudo_expectation(stage1, eff_backend, seed)
         stats["backend_info"] = dict(pe.info)
 

@@ -190,6 +190,25 @@ def naive_kikuchi(inst, ell):
     return out
 
 
+def naive_pair_gram(w, n, ell):
+    """Dense n x n pair Gram of a level-ell vertex vector w, one vertex pair at a time.
+
+    Vertices are the ell-subsets of {0..n-1} in colex order. Off the diagonal,
+    entry (i, j) sums w_S w_T over the pairs with S - T = {i} and T - S = {j};
+    entry (i, i) sums w_S^2 over the S that contain i.
+    """
+    verts = sorted(itertools.combinations(range(n), ell), key=lambda s: s[::-1])
+    out = np.zeros((n, n))
+    for a, s in enumerate(verts):
+        for i in s:
+            out[i, i] += w[a] * w[a]
+        for b, t in enumerate(verts):
+            only_s, only_t = set(s) - set(t), set(t) - set(s)
+            if len(only_s) == 1:
+                out[only_s.pop(), only_t.pop()] += w[a] * w[b]
+    return out
+
+
 def _pairwise_union_rank(a, w, table):
     """Colex rank of the union of disjoint sorted sets A and W, one comparison per position."""
     width = table.shape[1]

@@ -328,3 +328,38 @@ def test_criterion_11_csp_candidates_and_end_to_end():
             f"{hits}/20 value-1 assignments at m={m}, "
             f"max candidates {max_candidates} (cap 32)",
             time.perf_counter() - t0, 600.0)
+
+
+def test_criterion_12_level_trade_off_recovery():
+    # Planted 4-XOR below the level-2 threshold: raising the Kikuchi level
+    # from k/2 = 2 to 3 must turn failures into exact recoveries.
+    t0 = time.perf_counter()
+    n, k, eps, m = 40, 4, 0.1, 6400
+    hits = {2: 0, 3: 0}
+    for s in (1, 2, 3, 4):
+        x = random_assignment(n, s)
+        inst = sample_planted_xor(x, m, k, eps, s)
+        for ell in hits:
+            rep = solve_xor(inst, ell, BackendChoice.kikuchi_spectral(), s, planted=x)
+            hits[ell] += bool(rep.matched_planted)
+    ok = hits[3] >= 3 and hits[2] <= 1
+    _report(12, "level-trade-off-recovery", ok,
+            f"exact at m={m}: ell=3 {hits[3]}/4, ell=2 {hits[2]}/4",
+            time.perf_counter() - t0, 60.0)
+
+
+def test_criterion_13_level_trade_off_refutation():
+    # The same trade-off on random 4-XOR: the level-3 certificate must be
+    # markedly tighter than the level-2 one on the same instance.
+    t0 = time.perf_counter()
+    ratios = []
+    for s in (1, 2):
+        inst = _random_signs_instance(30, 1000, 4, s)
+        low = refute_report(inst, 2, seed=s).delta_hat
+        high = refute_report(inst, 3, seed=s).delta_hat
+        ratios.append(high / low)
+    ok = max(ratios) <= 0.8
+    _report(13, "level-trade-off-refutation", ok,
+            "delta_hat(ell=3)/delta_hat(ell=2) = "
+            + ", ".join(f"{r:.3f}" for r in ratios) + " (at most 0.8)",
+            time.perf_counter() - t0, 60.0)

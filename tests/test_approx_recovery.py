@@ -1,6 +1,8 @@
 """Tests for relaxation backends, moment validation, and sign rounding."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     brute_argmax_rows,
@@ -22,7 +24,7 @@ from rpcsp import (
     sample_planted_xor,
     solve_pseudo_expectation,
 )
-from rpcsp.approx_recovery import _pair_weights, round_even_detail
+from rpcsp.approx_recovery import _pair_weights, _unit_gram, round_even_detail
 from rpcsp.rng import cell_seed, derived_rng
 
 
@@ -147,6 +149,7 @@ def test_sdp_recovers_noisy_pair_plant():
     inst = sample_planted_xor(x, m, 2, eps, 21)
     pe = solve_pseudo_expectation(inst, BackendChoice.sdp_basic(), 21)
     assert np.allclose(pe.mu1, 0.0)
+    assert np.array_equal(np.diag(pe.m2), np.ones(n))
     out = round_even(pe)
     assert abs(corr(out, x)) == pytest.approx(1.0)
 
@@ -201,6 +204,42 @@ def test_spectral_backend_on_empty_matrix_is_uninformative():
     inst = XorInstance(6, 2, scopes, np.ones(2, dtype=np.int8))
     pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 0)
     assert np.allclose(pe.m2, np.eye(6))
+
+
+def test_unit_gram_normalizes_and_maps_a_zero_row_to_a_unit_vector():
+    v = derived_rng(cell_seed(41, "gram"), 0).standard_normal((6, 3)) * np.arange(1, 7)[:, None]
+    v[2] = 0.0
+    g = v @ v.T
+    live = np.ix_(np.arange(6) != 2, np.arange(6) != 2)
+    want = g[live] / np.sqrt(np.outer(np.diag(g[live]), np.diag(g[live])))
+    m2 = _unit_gram(g)
+    assert np.array_equal(np.diag(m2), np.ones(6))  # exactly 1, the zero row too
+    assert np.array_equal(m2[2], np.eye(6)[2]) and np.array_equal(m2[:, 2], np.eye(6)[2])
+    assert np.allclose(m2[live], want, rtol=1e-12)
+    _valid_pe(6, m2=m2).validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_spectral_backend_output_is_valid_by_construction(data):
+    k = data.draw(st.sampled_from([2, 4]))
+    ell = data.draw(st.sampled_from([k // 2, k // 2 + 1]))
+    n = data.draw(st.integers(k + 2, 10))
+    # Clauses draw from the first `used` variables; the rest appear in none.
+    used = data.draw(st.integers(k, n))
+    seed = data.draw(st.integers(0, 2 ** 31 - 1))
+    rng = derived_rng(seed, 0)
+    m = data.draw(st.integers(1, 60))
+    scopes = rng.integers(1, used + 1, size=(m, k), dtype=np.int64)
+    if data.draw(st.booleans()):
+        x = random_assignment(n, seed)
+        rhs = np.prod(x[scopes - 1], axis=1).astype(np.int8)
+    else:
+        rhs = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
+    inst = XorInstance(n, k, scopes, rhs)
+    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(ell=ell), seed)
+    pe.validate()
+    assert np.array_equal(np.diag(pe.m2), np.ones(n))
 
 
 # -------------------------------------------------------------------- rounding

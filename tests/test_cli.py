@@ -200,6 +200,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert stable(serial) == stable(parallel)
 
 
+@pytest.mark.parametrize("k, level", [(4, 2), (3, 3)])
+def test_sweep_m_rule_and_csv_use_the_level_the_solve_runs_at(tmp_path, k, level):
+    out = tmp_path / "grid.csv"
+    code = _run(["sweep", "--k", str(k), "--n-list", "10", "--eps-list", "0.5",
+                 "--m-rule", "100*l", "--backend", "kikuchi_spectral", "--trials", "1",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 0
+    header, row = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["m"] == str(100 * level) and cells["ell"] == str(level)
+
+
 # ------------------------------------------------------------------ exit codes
 
 def test_missing_input_file_exits_two(tmp_path):

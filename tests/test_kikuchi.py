@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_max_advantage, lexsort_kikuchi, naive_kikuchi
+from _oracles import brute_max_advantage, lexsort_kikuchi, naive_kikuchi, naive_pair_gram
 from rpcsp import (
     FormatError,
     ParameterError,
@@ -26,6 +26,7 @@ from rpcsp.kikuchi import (
     DEFAULT_ENTRY_CAP,
     DEFAULT_VERTEX_CAP,
     _TRIPLE,
+    KikuchiMatrix,
     all_subsets,
     read_kikuchi_dump,
     refute_report,
@@ -236,6 +237,23 @@ def test_parity_vector_entries():
     ranks = subset_rank(subs, _comb_table(5, 2))
     for pair, r in zip(subs, ranks):
         assert z[r] == np.prod(x[pair])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pair_gram_matches_the_pairwise_oracle(data):
+    ell = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(ell + 1, 9))
+    dim = math.comb(n, ell)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.standard_normal(dim)
+    w[rng.random(dim) < 0.3] = 0.0  # some vertices carry nothing
+    kik = KikuchiMatrix(n, ell, 2, sp.csr_matrix((dim, dim)), 0, dim, 0, 0)
+    got = kik.pair_gram(w)
+    assert got.shape == (n, n)
+    assert np.allclose(got, naive_pair_gram(w, n, ell), rtol=1e-12, atol=1e-12)
+    if ell == 1:
+        assert np.allclose(got, np.outer(w, w), rtol=1e-12, atol=1e-12)
 
 
 # -------------------------------------------------------------------- spectrum
