@@ -3,7 +3,8 @@
 A surrogate is a first-moment vector mu1 and a second-moment matrix m2 with
 unit diagonal, entries in [-1,1], m2 PSD, and the bordered block
 [[1, mu1^T], [mu1, m2]] PSD (all up to a -1e-8 eigenvalue tolerance). Three
-backends produce one that holds them by construction; validate checks them:
+backends build one that meets these by construction, and
+PseudoExpectation.validate checks them after every solve:
 
 - brute: exact moments of the uniform distribution over the argmax set of the
   signed clause objective, for small n. The objective of every assignment is
@@ -13,8 +14,8 @@ backends produce one that holds them by construction; validate checks them:
   returning the Gram matrix normalized to unit diagonal, with mu1 = 0;
 - kikuchi_spectral: top eigenvector of the level-l lift for even arity, by
   Lanczos with full reorthogonalization from a seeded random start,
-  averaged back down to an n x n Gram matrix and normalized to unit
-  diagonal, so no projection, with mu1 = 0.
+  averaged back down to an n x n Gram matrix (KikuchiMatrix.pair_gram) and
+  normalized to unit diagonal, so no projection, with mu1 = 0.
 
 The zero mu1 of the non-brute backends is deliberate: the global sign is
 unidentifiable there and the solver resolves it in its second stage.
