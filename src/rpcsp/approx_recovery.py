@@ -34,6 +34,7 @@ from .kikuchi import _lanczos, build_kikuchi
 from .rng import STREAM_BACKEND, check_seed, derived_rng
 
 PSD_TOL = 1e-8
+AGREEMENT_FRACTION = 0.99
 # kikuchi_spectral stops once its Ritz residual is below this share of the top eigenvalue.
 RITZ_RTOL = 1e-8
 
@@ -46,7 +47,6 @@ class BackendChoice:
     rank: int | None = None
     iters: int = 200
     assignment_cap: int = 24
-    ell: int | None = None
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
@@ -57,8 +57,6 @@ class BackendChoice:
             raise ParameterError("iteration budget must be >= 1")
         if not (1 <= self.assignment_cap <= 26):
             raise ParameterError("assignment cap must be in 1..26")
-        if self.ell is not None and self.ell < 1:
-            raise ParameterError("ell must be >= 1")
 
     @classmethod
     def brute(cls, assignment_cap: int = 24) -> "BackendChoice":
@@ -69,9 +67,9 @@ class BackendChoice:
         return cls("sdp_basic", rank=rank, iters=iters)
 
     @classmethod
-    def kikuchi_spectral(cls, ell: int | None = None, iters: int = 200) -> "BackendChoice":
-        """Top eigenvector of the level-ell lift; iters caps its Lanczos steps."""
-        return cls("kikuchi_spectral", ell=ell, iters=iters)
+    def kikuchi_spectral(cls, iters: int = 200) -> "BackendChoice":
+        """Top eigenvector of the Kikuchi lift; iters caps its Lanczos steps."""
+        return cls("kikuchi_spectral", iters=iters)
 
 
 @dataclass
@@ -82,7 +80,7 @@ class PseudoExpectation:
     backend: str
     info: dict = field(default_factory=dict)
 
-    def validate(self, psd_tol: float = PSD_TOL):
+    def validate(self):
         mu1 = np.asarray(self.mu1, dtype=np.float64)
         m2 = np.asarray(self.m2, dtype=np.float64)
         if mu1.shape != (self.n,) or m2.shape != (self.n, self.n):
@@ -103,7 +101,7 @@ class PseudoExpectation:
         block[0, 1:] = mu1
         block[1:, 0] = mu1
         block[1:, 1:] = m2
-        if np.linalg.eigvalsh((block + block.T) / 2).min() < -psd_tol:
+        if np.linalg.eigvalsh((block + block.T) / 2).min() < -PSD_TOL:
             raise ParameterError("bordered moment block is not PSD within tolerance")
 
     def expect_inner_product(self, x_star: Assignment) -> float:
@@ -237,10 +235,10 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
 # kikuchi_spectral backend (even arity)
 
 
-def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> PseudoExpectation:
+def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
+                     ell: int) -> PseudoExpectation:
     if inst.k % 2 != 0:
         raise UnsupportedConfigError(f"kikuchi_spectral needs even arity, got k={inst.k}")
-    ell = backend.ell if backend.ell is not None else inst.k // 2
     kik = build_kikuchi(inst, ell)
     n = inst.n
     dim = kik.num_vertices
@@ -260,8 +258,12 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Ps
                                    "lanczos_steps": steps, "residual": residual})
 
 
-def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: int) -> PseudoExpectation:
-    """Run one backend and return its validated surrogate."""
+def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: int,
+                             ell: int | None = None) -> PseudoExpectation:
+    """Run one backend and return its validated surrogate.
+
+    ell is the kikuchi_spectral level, k/2 if None; the other backends ignore it.
+    """
     if inst.m == 0:
         raise ParameterError("cannot build a surrogate from an empty instance")
     if backend.kind == "brute":
@@ -269,7 +271,7 @@ def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: in
     elif backend.kind == "sdp_basic":
         pe = _sdp_backend(inst, backend, seed)
     else:
-        pe = _kikuchi_backend(inst, backend, seed)
+        pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell)
     pe.validate()
     return pe
 
@@ -283,27 +285,25 @@ def round_odd(pe: PseudoExpectation) -> Assignment:
     return sign_round(np.asarray(pe.mu1))
 
 
-def round_even_detail(pe: PseudoExpectation, agreement_fraction: float = 0.99):
+def round_even_detail(pe: PseudoExpectation):
     """Consensus row rounding.
 
     Rounds every row of m2 to signs, scores row i by how well its sign vector
-    correlates with the others (delta_i = 1 minus the ceil(af*n)-th largest
-    absolute correlation), and returns the row with the smallest delta
+    correlates with the others (delta_i = 1 minus the ceil(AGREEMENT_FRACTION * n)-th
+    largest absolute correlation), and returns the row with the smallest delta
     (smallest index on ties) together with the per-row deltas.
     """
     if pe.n < 2:
         raise ParameterError("row consensus rounding needs n >= 2")
-    if not (0.0 < agreement_fraction <= 1.0):
-        raise ParameterError("agreement_fraction must lie in (0, 1]")
     x_rows = sign_round(np.asarray(pe.m2)).astype(np.float64)
     g = np.abs(x_rows @ x_rows.T) / pe.n
-    t = int(np.ceil(agreement_fraction * pe.n))
+    t = int(np.ceil(AGREEMENT_FRACTION * pe.n))
     kth = np.partition(g, pe.n - t, axis=1)[:, pe.n - t]
     deltas = 1.0 - kth
     i_star = int(np.argmin(deltas))
     return x_rows[i_star].astype(np.int8), deltas, i_star
 
 
-def round_even(pe: PseudoExpectation, agreement_fraction: float = 0.99) -> Assignment:
-    x, _, _ = round_even_detail(pe, agreement_fraction)
+def round_even(pe: PseudoExpectation) -> Assignment:
+    x, _, _ = round_even_detail(pe)
     return x

@@ -135,20 +135,17 @@ def eval_m_rule(expr: str, **names) -> int:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
     except SyntaxError as e:
         raise ParameterError(f"cannot parse m rule {expr!r}") from e
-    m = math.ceil(ev(tree))
+    try:
+        m = math.ceil(ev(tree))
+    except (ArithmeticError, TypeError, ValueError) as e:  # n/l at l = 0, log(0), min()
+        raise ParameterError(f"cannot evaluate m rule {expr!r}: {e}") from e
     if m < 1:
         raise ParameterError(f"m rule {expr!r} evaluated to {m}")
     return m
 
 
 def _backend_from_args(args) -> BackendChoice:
-    return BackendChoice(
-        kind=args.backend,
-        rank=getattr(args, "rank", None),
-        iters=getattr(args, "iters", 200),
-        assignment_cap=getattr(args, "cap", 24),
-        ell=getattr(args, "ell", None),
-    )
+    return BackendChoice(args.backend, rank=args.rank, iters=args.iters, assignment_cap=args.cap)
 
 
 def _read_instance(path: str):
@@ -231,8 +228,7 @@ def _cmd_solve(args) -> int:
         "seed": seed,
         "infile": args.infile,
         "ell": args.ell,
-        "backend": {"kind": backend.kind, "rank": backend.rank,
-                    "iters": backend.iters, "assignment_cap": backend.assignment_cap},
+        "backend": asdict(backend),
         "plant": args.plant,
         "planted": args.planted,
         "value": report.stats.get("value"),
@@ -264,11 +260,10 @@ def _cmd_refute(args) -> int:
 
 
 def _sweep_trial(task: tuple) -> dict:
-    (n, k, eps, m, ell, kind, rank, iters, cap, base_seed, trial) = task
+    (n, k, eps, m, ell, backend, base_seed, trial) = task
     seed_t = cell_seed(base_seed, n, float(eps), trial)
     x_star = random_assignment(n, seed_t)
     inst = sample_planted_xor(x_star, m, k, eps, seed_t)
-    backend = BackendChoice(kind=kind, rank=rank, iters=iters, assignment_cap=cap)
     t0 = time.perf_counter()
     report = solve_xor(inst, ell, backend, seed_t, planted=x_star)
     elapsed = time.perf_counter() - t0
@@ -291,14 +286,14 @@ def _cmd_sweep(args) -> int:
         raise ParameterError("trials must be >= 1")
     if args.jobs < 1:
         raise ParameterError("jobs must be >= 1")
+    backend = _backend_from_args(args)
     ell = args.ell if args.ell is not None else default_ell(args.k)
     tasks = []
     for n in n_list:
         for eps in eps_list:
             m = eval_m_rule(args.m_rule, n=n, k=args.k, eps=eps, l=ell, C=args.constant)
             for trial in range(args.trials):
-                tasks.append((n, args.k, eps, m, ell, args.backend,
-                              args.rank, args.iters, args.cap, seed, trial))
+                tasks.append((n, args.k, eps, m, ell, backend, seed, trial))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_trial, tasks))

@@ -48,6 +48,7 @@ from .errors import (
 from .instances import Assignment, XorInstance, atomic_write_bytes, clean, validate_assignment
 from .rng import STREAM_SPECTRAL, check_seed, derived_rng
 
+# The most vertices, C(n, l), that build_kikuchi and read_kikuchi_dump accept.
 DEFAULT_VERTEX_CAP = 5_000_000
 # build_kikuchi peaks at about 18 traced bytes per stored entry and returns
 # 12 (int32 index, int64 value), so the cap keeps a build under about 1 GB.
@@ -74,19 +75,19 @@ def subset_rank(elems: np.ndarray, table: np.ndarray) -> np.ndarray:
     return table[elems, j].sum(axis=-1)
 
 
-def _vertex_count(n: int, ell: int, cap: int) -> int:
-    """C(n, ell), or ResourceLimitError if it exceeds cap.
+def _vertex_count(n: int, ell: int) -> int:
+    """C(n, ell), or ResourceLimitError if it exceeds DEFAULT_VERTEX_CAP.
 
     C(n, j) grows with j up to min(ell, n - ell), so the running product stops
-    as soon as it passes cap and never builds a huge integer.
+    as soon as it passes the cap and never builds a huge integer.
     """
     count = 1
     for j in range(min(ell, n - ell)):
-        if count > cap:
+        if count > DEFAULT_VERTEX_CAP:
             break
         count = count * (n - j) // (j + 1)
-    if count > cap:
-        raise ResourceLimitError(f"C({n},{ell}) vertices exceed cap {cap}")
+    if count > DEFAULT_VERTEX_CAP:
+        raise ResourceLimitError(f"C({n},{ell}) vertices exceed cap {DEFAULT_VERTEX_CAP}")
     return count
 
 
@@ -175,7 +176,7 @@ class KikuchiMatrix:
         return int(z @ (self.matrix @ z))
 
 
-def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> KikuchiMatrix:
+def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
     """Assemble the level-l matrix from the distinct-entry clauses of inst."""
     k = inst.k
     if k % 2 != 0:
@@ -184,7 +185,7 @@ def build_kikuchi(inst: XorInstance, ell: int, vertex_cap: int = DEFAULT_VERTEX_
         raise ParameterError(f"need k/2 <= ell <= n, got ell={ell}")
     if ell - k // 2 > inst.n - k:
         raise ParameterError("ell too large: clause complements cannot fill a vertex")
-    num_vertices = _vertex_count(inst.n, ell, vertex_cap)
+    num_vertices = _vertex_count(inst.n, ell)
     if comb(inst.n, k) > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"C({inst.n},{k}) clause-set keys exceed int64")
     cleaned, _ = clean(inst)
@@ -316,11 +317,11 @@ class RefutationReport:
     residual: float
 
 
-def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0,
-                  vertex_cap: int = DEFAULT_VERTEX_CAP) -> RefutationReport:
+def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
+                  seed: int = 0) -> RefutationReport:
     if inst.m == 0:
         raise ParameterError("cannot certify an empty instance")
-    kik = build_kikuchi(inst, ell, vertex_cap=vertex_cap)
+    kik = build_kikuchi(inst, ell)
     lam, steps, residual = _certificate_norm(kik, tol, seed)
     # lam / (1 - tol) upper-bounds ||A|| except with probability FAILURE_PROB.
     dropped_frac = kik.dropped_clauses / inst.m
@@ -339,10 +340,9 @@ def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0,
     )
 
 
-def refutation_certificate(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0,
-                           vertex_cap: int = DEFAULT_VERTEX_CAP) -> float:
+def refutation_certificate(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0) -> float:
     """Upper bound on max_x of the mean signed clause value, except w.p. FAILURE_PROB."""
-    return refute_report(inst, ell, tol=tol, seed=seed, vertex_cap=vertex_cap).delta_hat
+    return refute_report(inst, ell, tol=tol, seed=seed).delta_hat
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def read_kikuchi_dump(path: str) -> tuple[int, int, sp.csr_matrix]:
         raise FormatError("bad kik header") from e
     if not (1 <= ell <= n and nnz >= 0):
         raise FormatError("kik header needs 1 <= ell <= n and nnz >= 0")
-    dim = _vertex_count(n, ell, DEFAULT_VERTEX_CAP)  # before any array is built
+    dim = _vertex_count(n, ell)  # before any array is built
     if len(body) != nnz * _TRIPLE.itemsize:
         raise FormatError(f"expected {nnz} triples, found {len(body)} bytes")
     triples = np.frombuffer(body, dtype=_TRIPLE)

@@ -4,8 +4,8 @@ The XOR solver splits the clause list in half: the first half feeds a
 pseudo-expectation backend whose rounding gives an approximate assignment
 (up to a global sign), and the second half majority-corrects both signed
 versions from one vote tally, keeping whichever scores higher. Arity 1 is
-plain per-variable majority; odd arities at scale are first paired down to
-an even-arity instance for the backend stage.
+plain per-variable majority; for odd arities the non-brute backends run on
+the first half's clauses paired into arity 2k.
 
 The CSP solver projects the instance onto XOR instances over position
 subsets (smallest subsets first), solves each side, and returns the first
@@ -13,7 +13,7 @@ candidate that satisfies every clause.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -50,8 +50,8 @@ class SolveReport:
 def pair_to_even(inst: XorInstance, seed: int) -> XorInstance:
     """Pair clauses with disjoint variable sets into arity-2k clauses.
 
-    Clauses with repeated entries are dropped first (their pairings would be
-    dropped by downstream arity checks anyway). Pairing then runs in rounds:
+    Clauses with repeated entries are dropped first (clean in build_kikuchi
+    would drop their pairings anyway). Pairing then runs in rounds:
     each round shuffles the clauses still unpaired with the seeded stream,
     pairs the first half with the second half position by position, and
     keeps the pairs whose scopes share no variable. The clauses of rejected
@@ -107,6 +107,8 @@ def solve_xor(
     """
     if inst.m == 0:
         raise ParameterError("cannot solve an empty instance")
+    if ell is not None and ell < 1:
+        raise ParameterError("ell must be >= 1")
     seed = check_seed(seed)
     stats: dict = {"n": inst.n, "k": inst.k, "m": inst.m, "backend": backend.kind}
 
@@ -131,10 +133,7 @@ def solve_xor(
             stats["paired_m"] = stage1.m
         stats["paired"] = paired
 
-        eff_backend = backend
-        if backend.kind == "kikuchi_spectral" and backend.ell is None:
-            eff_backend = replace(backend, ell=ell if ell is not None else default_ell(inst.k))
-        pe = solve_pseudo_expectation(stage1, eff_backend, seed)
+        pe = solve_pseudo_expectation(stage1, backend, seed, ell)
         stats["backend_info"] = dict(pe.info)
 
         if backend.kind == "brute" and inst.k % 2 == 1:
@@ -194,6 +193,8 @@ def solve_csp(
     """
     if psi.m == 0:
         raise ParameterError("cannot solve an empty instance")
+    if ell is not None and ell < 1:
+        raise ParameterError("ell must be >= 1")
     seed = check_seed(seed)
     if planted is not None:
         planted = validate_assignment(planted, psi.n)
@@ -224,7 +225,9 @@ def solve_csp(
             side = build_xor_side(psi, s, sign)
             sub_ell = ell if len(s) == k else None
             rep = solve_xor(side, sub_ell, backend, cell_seed(seed, "csp_task", ti))
-            entry = {"s": list(s), "sign": sign, "values": []}
+            # The level this side's Kikuchi backend ran at; None for other sides.
+            entry = {"s": list(s), "sign": sign,
+                     "ell": rep.stats.get("backend_info", {}).get("ell"), "values": []}
             task_log.append(entry)
             for cand in (rep.output, -rep.output):
                 candidates.append(cand)

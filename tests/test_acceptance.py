@@ -254,8 +254,7 @@ def test_criterion_09_pseudo_expectation_validity():
             inst = _random_signs_instance(30, 4000, 4, seed)
         else:
             inst = sample_planted_xor(x, 8000, 4, 0.4, seed)
-        solve_pseudo_expectation(
-            inst, BackendChoice.kikuchi_spectral(ell=2), seed).validate()
+        solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), seed).validate()
         checked += 1
     _report(9, "pseudo-expectation-validity", True,
             f"{checked} explicit validations across 3 backends "

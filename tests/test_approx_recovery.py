@@ -184,8 +184,7 @@ def test_spectral_backend_recovers_quad_plant():
     x = random_assignment(n, 31)
     m = int(12 * n ** 1.5 * np.log(n))
     inst = sample_planted_xor(x, m, 4, eps, 31)
-    pe = solve_pseudo_expectation(
-        inst, BackendChoice.kikuchi_spectral(ell=2), 31)
+    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 31, ell=2)
     out, deltas, i_star = round_even_detail(pe)
     assert abs(corr(out, x)) == pytest.approx(1.0)
     assert deltas[i_star] <= 0.02
@@ -237,7 +236,7 @@ def test_spectral_backend_output_is_valid_by_construction(data):
     else:
         rhs = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
     inst = XorInstance(n, k, scopes, rhs)
-    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(ell=ell), seed)
+    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), seed, ell=ell)
     pe.validate()
     assert np.array_equal(np.diag(pe.m2), np.ones(n))
 
@@ -264,14 +263,6 @@ def test_round_even_exact_outer_product():
     out, deltas, i_star = round_even_detail(pe)
     assert np.array_equal(out, x) or np.array_equal(out, -x)
     assert deltas[i_star] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_round_even_agreement_fraction_bounds():
-    pe = _valid_pe(5)
-    with pytest.raises(ParameterError):
-        round_even(pe, agreement_fraction=0.0)
-    with pytest.raises(ParameterError):
-        round_even(pe, agreement_fraction=1.2)
 
 
 def test_round_even_sign_conjugation_equivariance():

@@ -3,14 +3,22 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from rpcsp import CspPredicate, ParameterError, PlantingDistribution, value
+from rpcsp import (
+    BackendChoice,
+    CspPredicate,
+    ParameterError,
+    PlantingDistribution,
+    solve_csp,
+    value,
+)
 from rpcsp.cli import MANIFEST_SCHEMA, SWEEP_SCHEMA, cli_main, eval_m_rule
 from rpcsp.fourier import write_planting
-from rpcsp.instances import read_assignment, read_xor
+from rpcsp.instances import read_assignment, read_csp, read_xor
 from rpcsp.kikuchi import read_kikuchi_dump
 
 
@@ -35,6 +43,12 @@ def test_eval_m_rule_rejects_unsafe_input():
         eval_m_rule("unknown_name + 3")
     with pytest.raises(ParameterError):
         eval_m_rule("(lambda: 4)()")
+
+
+@pytest.mark.parametrize("expr", ["n/l", "log(l)", "exp(1000*n)", "(0-n)^0.5", "min()"])
+def test_eval_m_rule_arithmetic_failure_is_a_parameter_error(expr):
+    with pytest.raises(ParameterError, match="cannot evaluate"):
+        eval_m_rule(expr, n=10, l=0)
 
 
 # -------------------------------------------------------------------- generate
@@ -105,6 +119,22 @@ def test_solve_xor_round_trip(tmp_path):
     got = read_assignment(sol + ".assign")
     planted = read_assignment(gen + ".assign")
     assert np.array_equal(got, planted) or np.array_equal(got, -planted)
+
+
+def test_solve_runs_each_csp_side_at_the_level_solve_csp_picks(tmp_path):
+    # --ell is the full side's level; the arity-2 sides run at their default, 1.
+    gen = str(tmp_path / "g")
+    _run(["generate", "csp", "--n", "16", "--m", "6000", "--predicate", "xor:3",
+          "--seed", "5", "--out", gen])
+    code = _run(["solve", "--in", gen + ".csp", "--backend", "kikuchi_spectral",
+                 "--ell", "3", "--seed", "5", "--out", str(tmp_path / "s")])
+    assert code == 0
+    report = json.loads((tmp_path / "s.report.json").read_text())
+    api = solve_csp(read_csp(gen + ".csp"), 3, BackendChoice.kikuchi_spectral(), 5)
+    levels = [t["ell"] for t in report["stats"]["tasks"]]
+    assert levels == [t["ell"] for t in api.stats["tasks"]] == [None] * 6 + [1] * 6 + [3]
+    assert report["stats"]["tasks"] == api.stats["tasks"]
+    assert report["backend"] == asdict(BackendChoice.kikuchi_spectral())
 
 
 def test_solve_csp_with_plant_fast_path(tmp_path):
@@ -290,6 +320,21 @@ def test_brute_cap_above_ceiling_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err and "1..26" in err
+
+
+@pytest.mark.parametrize("backend", ["sdp_basic", "kikuchi_spectral"])
+def test_level_zero_exits_one_for_solve_and_sweep(tmp_path, capsys, backend):
+    gen = str(tmp_path / "g")
+    _run(["generate", "xor", "--n", "10", "--k", "2", "--m", "200",
+          "--eps", "0.5", "--seed", "1", "--out", gen])
+    capsys.readouterr()
+    assert _run(["solve", "--in", gen + ".xor", "--backend", backend, "--ell", "0",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert _run(["sweep", "--k", "2", "--n-list", "10", "--eps-list", "0.5",
+                 "--m-rule", "200", "--ell", "0", "--backend", backend, "--trials", "1",
+                 "--out", str(tmp_path / "w.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("ell must be >= 1") == 2
 
 
 def test_unknown_flag_exits_one():

@@ -370,8 +370,9 @@ def test_build_rejects_bad_level():
 
 def test_build_respects_vertex_cap():
     inst = _random_signs_instance(40, 10, 4, 4)
-    with pytest.raises(ResourceLimitError):
-        build_kikuchi(inst, 3, vertex_cap=1000)
+    assert math.comb(40, 7) == 18_643_560 > DEFAULT_VERTEX_CAP
+    with pytest.raises(ResourceLimitError, match="vertices exceed cap"):
+        build_kikuchi(inst, 7)
 
 
 def test_entry_cap_raises_before_any_entry_array_exists():
@@ -388,11 +389,12 @@ def test_entry_cap_raises_before_any_entry_array_exists():
     assert peak < 4_000_000  # one byte per entry would be 185 MB
 
 
-def test_clause_set_keys_must_fit_int64():
+def test_clause_set_keys_must_fit_int64(monkeypatch):
     # C(70, 34) > 2^63; only a raised vertex cap lets C(70, 17) vertices through.
+    monkeypatch.setattr("rpcsp.kikuchi.DEFAULT_VERTEX_CAP", 10 ** 18)
     inst = XorInstance(70, 34, np.arange(1, 35, dtype=np.int64)[None, :], np.ones(1, np.int8))
     with pytest.raises(ResourceLimitError, match="int64"):
-        build_kikuchi(inst, 17, vertex_cap=10 ** 18)
+        build_kikuchi(inst, 17)
 
 
 # ------------------------------------------------------------------ dump format

@@ -186,10 +186,23 @@ def test_solve_xor_stage_two_corrects_stage_one():
     assert final_err <= stage1_err
 
 
-def test_solve_xor_rejects_missing_level_for_spectral():
-    inst = sample_planted_xor(random_assignment(10, 0), 40, 4, 0.5, 0)
-    rep = solve_xor(inst, 2, BackendChoice.kikuchi_spectral(), 0)
-    assert rep.output.shape == (10,)
+def test_solver_ell_is_the_kikuchi_level_and_must_be_positive():
+    quad = sample_planted_xor(random_assignment(10, 0), 40, 4, 0.5, 0)
+    odd = sample_planted_xor(random_assignment(12, 0), 400, 3, 0.5, 0)
+    for inst, ell, level in [(quad, None, 2), (quad, 2, 2), (quad, 3, 3), (odd, None, 3)]:
+        rep = solve_xor(inst, ell, BackendChoice.kikuchi_spectral(), 0)
+        assert rep.output.shape == (inst.n,)
+        assert rep.stats["backend_info"]["ell"] == level
+    pred = CspPredicate.k_xor(2)
+    pair = sample_planted_xor(random_assignment(10, 0), 40, 2, 0.5, 0)
+    psi = sample_planted_csp(random_assignment(10, 0), 40, pred,
+                             PlantingDistribution.uniform_satisfying(pred), 0)
+    for backend in (BackendChoice.brute(), BackendChoice.sdp_basic(),
+                    BackendChoice.kikuchi_spectral()):
+        with pytest.raises(ParameterError, match="ell"):
+            solve_xor(pair, 0, backend, 0)
+        with pytest.raises(ParameterError, match="ell"):
+            solve_csp(psi, 0, backend, 0)
 
 
 def test_solve_xor_stage_one_ignores_second_half_order():
