@@ -172,6 +172,14 @@ def clean(inst: XorInstance) -> tuple[XorInstance, float]:
     return kept, float(1.0 - distinct.mean())
 
 
+def _check_clause_count(m: int, k: int):
+    """ParameterError unless m >= 1 and NumPy can index an (m, k) int64 scope array."""
+    if m < 1:
+        raise ParameterError("m must be >= 1")
+    if int(m) * k > np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"m={m} clauses of arity {k} exceed the largest scope array")
+
+
 def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int) -> XorInstance:
     """Planted noisy k-XOR.
 
@@ -184,10 +192,9 @@ def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int
     """
     x_star = validate_assignment(x_star)
     n = x_star.size
-    if m < 1:
-        raise ParameterError("m must be >= 1")
     if not (1 <= k <= n):
         raise ParameterError("need 1 <= k <= n")
+    _check_clause_count(m, k)
     if not (0.0 < eps <= 0.5):
         raise ParameterError("eps must lie in (0, 1/2]")
     seed = check_seed(seed)
@@ -200,14 +207,17 @@ def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int
 
 
 def value(inst, x: Assignment) -> float:
-    """Fraction of clauses satisfied by x (XOR or CSP instance)."""
+    """Fraction of clauses satisfied by x (XOR or CSP instance).
+
+    A CSP value comes from the histogram of clause sign patterns (csp_values).
+    """
     if isinstance(inst, XorInstance):
         x = validate_assignment(x, inst.n)
         if inst.m == 0:
             raise ParameterError("value of an empty instance is undefined")
         return float(np.mean(inst.clause_products(x) == inst.rhs))
     if isinstance(inst, CspInstance):
-        return _csp_value(inst, x)
+        return csp_values(inst, x)[0]
     raise ParameterError(f"unsupported instance type {type(inst).__name__}")
 
 
@@ -388,11 +398,25 @@ class CspInstance:
         return (self.negations * np.asarray(x)[self.scopes - 1]).astype(np.int8)
 
 
-def _csp_value(inst: CspInstance, x: Assignment) -> float:
+def csp_values(inst: CspInstance, x: Assignment) -> tuple[float, float]:
+    """(value(inst, x), value(inst, -x)) from one histogram of clause patterns.
+
+    Clause c's pattern bit j is [x_{i_j} < 0] xor [neg_j < 0], set where the
+    variable and its negation sign differ. One bincount of the pattern
+    indices gives counts, and value(x) = counts . table / m. Negating x
+    flips every bit, sending index p to 2^k - 1 - p, so value(-x) is the
+    reversed counts . table / m.
+    """
     x = validate_assignment(x, inst.n)
     if inst.m == 0:
         raise ParameterError("value of an empty instance is undefined")
-    return float(np.mean(inst.predicate.evaluate(inst.literal_values(x))))
+    padded = np.concatenate(([0], x)).astype(np.int8)
+    index = np.zeros(inst.m, dtype=np.intp)
+    for j in range(inst.k):
+        index |= (padded[inst.scopes[:, j]] != inst.negations[:, j]).astype(np.intp) << j
+    counts = np.bincount(index, minlength=1 << inst.k)
+    table = inst.predicate.table
+    return float(counts @ table) / inst.m, float(counts[::-1] @ table) / inst.m
 
 
 def sample_planted_csp(
@@ -412,8 +436,7 @@ def sample_planted_csp(
     x_star = validate_assignment(x_star)
     n = x_star.size
     k = predicate.k
-    if m < 1:
-        raise ParameterError("m must be >= 1")
+    _check_clause_count(m, k)
     if k > n:
         raise ParameterError("need k <= n")
     if q.k != k:

@@ -55,6 +55,8 @@ DEFAULT_VERTEX_CAP = 5_000_000
 DEFAULT_ENTRY_CAP = 50_000_000
 # Chance, over the random Lanczos start, that spectral_norm misses accuracy tol.
 FAILURE_PROB = 1e-6
+# A residual-stopped _lanczos run tests its Ritz residual every this many steps.
+RITZ_STRIDE = 4
 
 
 def _comb_table(n: int, ell: int, dtype=np.int64) -> np.ndarray:
@@ -92,13 +94,21 @@ def _vertex_count(n: int, ell: int) -> int:
 
 
 def all_subsets(n: int, ell: int) -> np.ndarray:
-    """All l-subsets of {0..n-1} as a (C(n,l), l) array in colex order.
+    """All l-subsets of {0..n-1} as a (C(n,l), l) sorted-row array in colex order.
 
-    Row r therefore has colex rank r. Colex order is lex order run backwards
-    on the complemented elements n-1-e.
+    Row r therefore has colex rank r. The table is built level by level from
+    the empty set: the j-subsets with largest element e hold colex ranks
+    C(e, j) .. C(e + 1, j) - 1, and they are the first C(e, j - 1) rows of the
+    level-(j - 1) table with e appended.
     """
-    lex = np.array(list(combinations(range(n), ell)), dtype=np.int64).reshape(comb(n, ell), ell)
-    return np.ascontiguousarray((n - 1 - lex[::-1])[:, ::-1])
+    subs = np.zeros((1, 0), dtype=np.int64)
+    for j in range(1, ell + 1):
+        top = np.arange(j - 1, n)
+        counts = np.array([comb(int(e), j - 1) for e in top], dtype=np.int64)
+        last = np.repeat(top, counts)
+        prefix = np.arange(len(last)) - np.repeat(np.cumsum(counts) - counts, counts)
+        subs = np.column_stack((subs[prefix], last))
+    return subs
 
 
 def _union_rank(a: list, w: list, table: np.ndarray) -> np.ndarray:
@@ -176,15 +186,20 @@ class KikuchiMatrix:
         return int(z @ (self.matrix @ z))
 
 
+def check_level(n: int, k: int, ell: int):
+    """ParameterError unless ell is a level the arity-k lift over n variables has."""
+    if not (k // 2 <= ell <= n):
+        raise ParameterError(f"need k/2 <= ell <= n, got ell={ell}")
+    if ell - k // 2 > n - k:
+        raise ParameterError("ell too large: clause complements cannot fill a vertex")
+
+
 def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
     """Assemble the level-l matrix from the distinct-entry clauses of inst."""
     k = inst.k
     if k % 2 != 0:
         raise UnsupportedConfigError(f"Kikuchi lift needs even arity, got k={k}")
-    if not (k // 2 <= ell <= inst.n):
-        raise ParameterError(f"need k/2 <= ell <= n, got ell={ell}")
-    if ell - k // 2 > inst.n - k:
-        raise ParameterError("ell too large: clause complements cannot fill a vertex")
+    check_level(inst.n, k, ell)
     num_vertices = _vertex_count(inst.n, ell)
     if comb(inst.n, k) > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"C({inst.n},{k}) clause-set keys exceed int64")
@@ -247,7 +262,12 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
     Ritz vector, the number of steps run and ||A y - theta y||. The run ends
     after min(steps, dim) steps, on breakdown (the Krylov space is invariant
     and theta is an eigenvalue), or once the residual is below rtol * |theta|;
-    rtol = 0 runs every step. Basis rows a short run never reaches stay untouched.
+    rtol = 0 runs every step. The residual needs the tridiagonal eigenproblem,
+    so with rtol > 0 it is tested only every RITZ_STRIDE steps, at breakdown
+    and at the cap: steps_taken is a multiple of RITZ_STRIDE, the cap or a
+    breakdown, and a run that converges stops at most RITZ_STRIDE - 1 steps
+    later than a test on every step would. Basis rows a short run never
+    reaches stay untouched.
     """
     basis = np.empty((min(steps, dim), dim))
     alpha = np.zeros(len(basis))
@@ -263,7 +283,7 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
         beta[j] = np.linalg.norm(w)
         scale = max(scale, abs(alpha[j]) + beta[j])
         done = beta[j] <= 1e-12 * scale or j + 1 == len(basis)
-        if rtol > 0 or done:
+        if done or (rtol > 0 and (j + 1) % RITZ_STRIDE == 0):
             theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(j, j))
             residual = float(beta[j] * abs(s[-1, 0]))
             if done or residual < rtol * abs(theta[0]):

@@ -33,9 +33,11 @@ from .instances import (
     PlantingDistribution,
     XorInstance,
     clean,
+    csp_values,
     validate_assignment,
     value,
 )
+from .kikuchi import check_level
 from .rng import STREAM_PAIRING, cell_seed, check_seed, derived_rng
 
 
@@ -189,7 +191,8 @@ def solve_csp(
     set. Passing the planting distribution q switches to the fast path that
     tries the distribution-complexity witness with its coefficient sign
     first; if neither of its candidates has value 1, the remaining tasks
-    follow in the usual order.
+    follow in the usual order. A kikuchi_spectral ell, which reaches only the
+    full side, is checked against that side's lift before any side runs.
     """
     if psi.m == 0:
         raise ParameterError("cannot solve an empty instance")
@@ -206,6 +209,15 @@ def solve_csp(
         stats["trivial_predicate"] = True
         best_val, best = 1.0, np.ones(psi.n, dtype=np.int8)
     else:
+        if backend.kind == "kikuchi_spectral" and ell is not None and k >= 2:
+            # ell reaches only the full side, lifted at arity 2k when k is odd;
+            # a level that side cannot take fails here, before any side runs.
+            lift_k = 2 * k if k % 2 else k
+            try:
+                check_level(psi.n, lift_k, ell)
+            except ParameterError as e:
+                how = f"paired to arity {lift_k}" if k % 2 else "unpaired"
+                raise ParameterError(f"the full side of this arity-{k} CSP is {how}: {e}") from e
         tasks = [(s, sign) for s in subsets_by_size(k) for sign in (1, -1)]
         if q is not None:
             r, witness = distribution_complexity(q)
@@ -229,9 +241,8 @@ def solve_csp(
             entry = {"s": list(s), "sign": sign,
                      "ell": rep.stats.get("backend_info", {}).get("ell"), "values": []}
             task_log.append(entry)
-            for cand in (rep.output, -rep.output):
+            for cand, v in zip((rep.output, -rep.output), csp_values(psi, rep.output)):
                 candidates.append(cand)
-                v = value(psi, cand)
                 entry["values"].append(v)
                 if v > best_val:
                     best_val, best = v, cand

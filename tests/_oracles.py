@@ -170,6 +170,26 @@ def greedy_pair_to_even(inst, seed):
     return XorInstance(inst.n, 2 * inst.k, scopes, rhs)
 
 
+def itertools_colex_subsets(n, ell):
+    """All ell-subsets of {0..n-1} as a (C(n, ell), ell) array in colex order.
+
+    Colex order is lex order run backwards on the complemented elements n-1-e,
+    so the itertools lex enumeration of the complements, reversed, gives it.
+    """
+    lex = np.array(list(itertools.combinations(range(n), ell)), dtype=np.int64)
+    lex = lex.reshape(math.comb(n, ell), ell)
+    return np.ascontiguousarray((n - 1 - lex[::-1])[:, ::-1])
+
+
+def naive_csp_value(inst, x):
+    """Fraction of clauses whose literal pattern the truth table accepts, one clause at a time."""
+    x, hits = np.asarray(x).tolist(), 0
+    for row, neg in zip(inst.scopes.tolist(), inst.negations.tolist()):
+        index = sum(1 << j for j, (v, z) in enumerate(zip(row, neg)) if x[v - 1] * z < 0)
+        hits += int(inst.predicate.table[index])
+    return hits / inst.m
+
+
 def naive_kikuchi(inst, ell):
     """Dense level-ell Kikuchi matrix, one vertex pair at a time.
 

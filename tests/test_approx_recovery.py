@@ -24,7 +24,8 @@ from rpcsp import (
     sample_planted_xor,
     solve_pseudo_expectation,
 )
-from rpcsp.approx_recovery import _pair_weights, _unit_gram, round_even_detail
+from rpcsp.approx_recovery import RITZ_RTOL, _pair_weights, _unit_gram, round_even_detail
+from rpcsp.kikuchi import RITZ_STRIDE, build_kikuchi
 from rpcsp.rng import cell_seed, derived_rng
 
 
@@ -198,6 +199,28 @@ def test_spectral_backend_step_cap_raises_with_best_estimate():
     assert info.value.iterations == 2
 
 
+def test_spectral_backend_step_cap_keeps_its_verdict_under_the_residual_stride():
+    inst = _random_signs_instance(30, 200, 2, 0)  # 30 vertices at ell = 1
+
+    def solve(cap):
+        try:
+            return solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(iters=cap), 0)
+        except ConvergenceError as e:
+            assert e.iterations == cap
+            return None
+
+    # The Lanczos state after j steps does not depend on the cap, so the
+    # smallest cap that converges is the step a test on every step stops at.
+    outcomes = [solve(cap) for cap in range(1, 31)]
+    first = next(cap for cap, pe in enumerate(outcomes, 1) if pe is not None)
+    assert first % RITZ_STRIDE != 0  # the case a stride could skip
+    assert all(pe is None for pe in outcomes[:first - 1])
+    stop = -(-first // RITZ_STRIDE) * RITZ_STRIDE
+    for cap, pe in enumerate(outcomes[first - 1:], first):
+        assert pe.info["lanczos_steps"] == min(cap, stop)
+        assert pe.info["residual"] < RITZ_RTOL * abs(pe.info["top_eigenvalue"])
+
+
 def test_spectral_backend_on_empty_matrix_is_uninformative():
     scopes = np.array([[1, 1], [2, 2]], dtype=np.int64)
     inst = XorInstance(6, 2, scopes, np.ones(2, dtype=np.int8))
@@ -236,9 +259,19 @@ def test_spectral_backend_output_is_valid_by_construction(data):
     else:
         rhs = rng.choice(np.array([-1, 1], dtype=np.int8), size=m)
     inst = XorInstance(n, k, scopes, rhs)
-    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), seed, ell=ell)
+    backend = BackendChoice.kikuchi_spectral()
+    pe = solve_pseudo_expectation(inst, backend, seed, ell=ell)
     pe.validate()
     assert np.array_equal(np.diag(pe.m2), np.ones(n))
+    if "lanczos_steps" in pe.info:
+        # Converged, and stopped at a residual test: every RITZ_STRIDE steps,
+        # at the cap, or at a breakdown, where the residual is below
+        # 1e-12 * (|alpha| + beta) <= 2e-12 * ||A||.
+        a = build_kikuchi(inst, ell).matrix.toarray()
+        steps, residual = pe.info["lanczos_steps"], pe.info["residual"]
+        assert residual < RITZ_RTOL * abs(pe.info["top_eigenvalue"])
+        assert (steps % RITZ_STRIDE == 0 or steps == min(backend.iters, len(a))
+                or residual <= 3e-12 * np.abs(np.linalg.eigvalsh(a)).max())
 
 
 # -------------------------------------------------------------------- rounding

@@ -310,6 +310,14 @@ def test_bad_parameter_exits_one(tmp_path):
     assert code == 1
 
 
+def test_unindexable_clause_count_exits_one_without_traceback(tmp_path, capsys):
+    code = _run(["generate", "xor", "--n", "10", "--k", "2", "--m", str(10 ** 30),
+                 "--eps", "0.5", "--out", str(tmp_path / "big")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
 def test_brute_cap_above_ceiling_exits_one(tmp_path, capsys):
     gen = str(tmp_path / "g")
     _run(["generate", "xor", "--n", "10", "--k", "2", "--m", "20",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from _oracles import (
     naive_clean,
+    naive_csp_value,
     naive_read_assignment,
     naive_read_csp,
     naive_read_xor,
@@ -17,6 +18,7 @@ from _oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpcsp.instances
 from rpcsp import (
     CspInstance,
     CspPredicate,
@@ -38,6 +40,7 @@ from rpcsp.instances import (
     _all_pm1,
     _format_rows,
     all_patterns,
+    csp_values,
     pattern_index,
     read_assignment,
     read_csp,
@@ -284,6 +287,21 @@ def test_sample_planted_xor_rejects_bad_eps():
             sample_planted_xor(x, 10, 2, eps, 0)
 
 
+def test_samplers_reject_an_unindexable_clause_count_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking m")
+
+    monkeypatch.setattr(rpcsp.instances, "derived_rng", no_draw)
+    x = np.ones(10, dtype=np.int8)
+    pred = CspPredicate.k_xor(2)
+    q = PlantingDistribution.uniform_satisfying(pred)
+    for m in (10 ** 30, 2 ** 62):
+        with pytest.raises(ParameterError, match="scope array"):
+            sample_planted_xor(x, m, 2, 0.5, 0)
+        with pytest.raises(ParameterError, match="scope array"):
+            sample_planted_csp(x, m, pred, q, 0)
+
+
 def test_value_on_empty_instance_raises():
     inst = XorInstance(4, 2, np.zeros((0, 2), dtype=np.int64),
                        np.zeros(0, dtype=np.int8))
@@ -394,6 +412,27 @@ def test_csp_value_matches_naive_predicate_loop():
         for row, neg in zip(psi.scopes, psi.negations)
     )
     assert value(psi, x) == pytest.approx(hits / psi.m)
+
+
+@pytest.mark.parametrize("pred", [
+    CspPredicate.from_hex(1, "1"),
+    CspPredicate.from_hex(2, "b"),
+    CspPredicate.k_xor(3),
+    CspPredicate.k_sat(3),
+    CspPredicate.from_hex(3, "5c"),
+    CspPredicate.from_hex(4, "e8d1"),
+], ids=lambda p: f"k{p.k}-{p.to_hex()}")
+def test_csp_values_of_both_signs_match_the_per_clause_oracle(pred):
+    rng = derived_rng(cell_seed(52, "csp_values", pred.to_hex()), pred.k)
+    n, m = 9, 300
+    signs = np.array([-1, 1], dtype=np.int8)
+    psi = CspInstance(n, pred, rng.integers(1, n + 1, size=(m, pred.k)),
+                      rng.choice(signs, size=(m, pred.k)))
+    for _ in range(4):
+        x = rng.choice(signs, size=n)
+        plus, minus = csp_values(psi, x)
+        assert plus == naive_csp_value(psi, x) == value(psi, x)
+        assert minus == naive_csp_value(psi, -x) == value(psi, -x)
 
 
 # ------------------------------------------------------------------------ rng

@@ -8,7 +8,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_max_advantage, lexsort_kikuchi, naive_kikuchi, naive_pair_gram
+from _oracles import (
+    brute_max_advantage,
+    itertools_colex_subsets,
+    lexsort_kikuchi,
+    naive_kikuchi,
+    naive_pair_gram,
+)
 from rpcsp import (
     FormatError,
     ParameterError,
@@ -61,6 +67,14 @@ def test_subset_rank_is_colex_position():
         assert r == expected
     # smallest subset {0,1,2} sits at rank 0
     assert ranks[0] == 0 and subs[0].tolist() == [0, 1, 2]
+
+
+def test_all_subsets_matches_the_itertools_oracle():
+    for n in range(1, 13):
+        for ell in range(1, n + 1):
+            got = all_subsets(n, ell)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, itertools_colex_subsets(n, ell)), (n, ell)
 
 
 # ------------------------------------------------------------------ structure

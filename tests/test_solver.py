@@ -205,6 +205,24 @@ def test_solver_ell_is_the_kikuchi_level_and_must_be_positive():
             solve_csp(psi, 0, backend, 0)
 
 
+@pytest.mark.parametrize("k,ell,lift", [(3, 1, "paired to arity 6"), (3, 17, "paired to arity 6"),
+                                         (4, 1, "unpaired")])
+def test_solve_csp_checks_the_full_side_level_before_any_side(monkeypatch, k, ell, lift):
+    calls = []
+
+    def counting_solve_xor(*args, **kwargs):
+        calls.append(args)
+        return solve_xor(*args, **kwargs)
+
+    monkeypatch.setattr(rpcsp.solver, "solve_xor", counting_solve_xor)
+    pred = CspPredicate.k_xor(k)
+    psi = sample_planted_csp(random_assignment(16, 0), 600, pred,
+                             PlantingDistribution.uniform_satisfying(pred), 0)
+    with pytest.raises(ParameterError, match=f"arity-{k} CSP is {lift}: need k/2 <= ell"):
+        solve_csp(psi, ell, BackendChoice.kikuchi_spectral(), 0)
+    assert calls == []
+
+
 def test_solve_xor_stage_one_ignores_second_half_order():
     # the candidate comes from the first half only, the vote from the second
     inst = sample_planted_xor(random_assignment(10, 3), 61, 3, 0.3, 3)
