@@ -13,7 +13,8 @@ PseudoExpectation.validate checks them after every solve:
 - sdp_basic: low-rank coordinate ascent over unit vectors for arity 2,
   returning the Gram matrix normalized to unit diagonal, with mu1 = 0;
 - kikuchi_spectral: top eigenvector of the level-l lift for even arity, by
-  Lanczos with full reorthogonalization from a seeded random start,
+  Lanczos with full reorthogonalization from a seeded random start on the
+  float64 matrix build_kikuchi returns, multiplied as built with no copy,
   averaged back down to an n x n Gram matrix (KikuchiMatrix.pair_gram) and
   normalized to unit diagonal, so no projection, with mu1 = 0.
 
@@ -246,9 +247,8 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
         # No usable clauses: the uninformative uniform-distribution surrogate.
         return PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
                                  info={"top_eigenvalue": 0.0, "ell": ell})
-    a = kik.matrix.astype(np.float64)
     v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
-    top, v, steps, residual = _lanczos(a.dot, dim, v0, backend.iters, RITZ_RTOL)
+    top, v, steps, residual = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL)
     if residual >= RITZ_RTOL * abs(top):
         raise ConvergenceError(f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
                                best_estimate=top, iterations=steps)

@@ -45,7 +45,7 @@ from .instances import (
     write_csp,
     write_xor,
 )
-from .kikuchi import build_kikuchi, refute_report, write_kikuchi_dump
+from .kikuchi import build_kikuchi, certificate_report, write_kikuchi_dump
 from .rng import cell_seed, check_seed
 from .solver import default_ell, solve_csp, solve_xor
 
@@ -247,14 +247,14 @@ def _cmd_refute(args) -> int:
     inst = _read_instance(args.infile)
     if hasattr(inst, "predicate"):
         raise ParameterError("refute expects an XOR instance")
-    rep = refute_report(inst, args.ell, tol=args.tol, seed=seed)
+    kik = build_kikuchi(inst, args.ell)
+    rep = certificate_report(kik, tol=args.tol, seed=seed)
     payload = {"command": "refute", **asdict(rep),
                "infile": args.infile, "ell": args.ell, "tol": args.tol, "seed": seed}
     print(json.dumps(_jsonable(payload), sort_keys=True))
     if args.out:
         _write_json(args.out + ".refute.json", payload)
         if args.dump_matrix:
-            kik = build_kikuchi(inst, args.ell)
             write_kikuchi_dump(kik, args.out + ".kik")
     return 0
 

@@ -394,9 +394,6 @@ class CspInstance:
     def m(self) -> int:
         return self.scopes.shape[0]
 
-    def literal_values(self, x: Assignment) -> np.ndarray:
-        return (self.negations * np.asarray(x)[self.scopes - 1]).astype(np.int8)
-
 
 def csp_values(inst: CspInstance, x: Assignment) -> tuple[float, float]:
     """(value(inst, x), value(inst, -x)) from one histogram of clause patterns.

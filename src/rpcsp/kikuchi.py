@@ -13,11 +13,13 @@ build_kikuchi sorts each clause set with a compare-exchange network and keys
 it by one int64, its colex rank among the k-subsets, so one argsort groups
 the copies of a set and one bincount sums their rhs. Each surviving set then
 emits its D entries at once: row rank S = A + W and column rank T = B + W
-for each half split (A, B) and pad W outside the set. No (S, T) arises
-twice, because (set, split, pad) -> (S, T) is injective: C = S xor T, then
-A = S & C and W = S - C. While C(n, l) < 2^31 the rank arithmetic runs in
-int32, the index type the CSR keeps, so no int64 row or column array is
-built. DEFAULT_ENTRY_CAP bounds used clauses times D before any per-entry
+for each half split (A, B) and pad W outside the set, both enumerated in
+colex order. No (S, T) arises twice, because (set, split, pad) -> (S, T) is
+injective: C = S xor T, then A = S & C and W = S - C. Ranks are int32, the
+CSR's index type, as C(n, l) <= DEFAULT_VERTEX_CAP < 2^31. Entries are
+float64, the type Lanczos multiplies with, so no caller copies the matrix;
+each is an integer rhs sum below DEFAULT_ENTRY_CAP in magnitude, exact in
+float64. DEFAULT_ENTRY_CAP bounds used clauses times D before any per-entry
 array exists.
 
 For z_S = prod_{i in S} x_i the quadratic form collapses to
@@ -32,7 +34,6 @@ Lanczos on A^2, so it holds except with probability FAILURE_PROB per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil, comb, log, sqrt
 
 import numpy as np
@@ -49,10 +50,14 @@ from .instances import Assignment, XorInstance, atomic_write_bytes, clean, valid
 from .rng import STREAM_SPECTRAL, check_seed, derived_rng
 
 # The most vertices, C(n, l), that build_kikuchi and read_kikuchi_dump accept.
+# It is below 2^31, so every vertex rank fits the int32 indices CSR keeps.
 DEFAULT_VERTEX_CAP = 5_000_000
 # build_kikuchi peaks at about 18 traced bytes per stored entry and returns
-# 12 (int32 index, int64 value), so the cap keeps a build under about 1 GB.
+# 12 (int32 index, float64 value), so the cap keeps a build under about 1 GB.
 DEFAULT_ENTRY_CAP = 50_000_000
+# Bytes of _lanczos's steps x dim float64 basis: 2^30 admits 200 steps (the
+# kikuchi_spectral default) to 671,088 vertices, the certificate to 571,139.
+DEFAULT_BASIS_BYTES = 1 << 30
 # Chance, over the random Lanczos start, that spectral_norm misses accuracy tol.
 FAILURE_PROB = 1e-6
 # A residual-stopped _lanczos run tests its Ritz residual every this many steps.
@@ -182,7 +187,7 @@ class KikuchiMatrix:
         return (u @ u.T).toarray()
 
     def quadratic_form(self, x: Assignment) -> int:
-        z = self.parity_vector(x).astype(np.int64)
+        z = self.parity_vector(x)
         return int(z @ (self.matrix @ z))
 
 
@@ -209,11 +214,8 @@ def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
         raise ResourceLimitError(f"{cleaned.m} clauses x {pairs_per_clause} entries each "
                                  f"exceed the entry cap {DEFAULT_ENTRY_CAP}")
 
-    # Ranks below C(n, l) fit the int32 indices CSR keeps, so the rank
-    # arithmetic runs in them and no int64 row or column array exists.
-    itype = np.int32 if num_vertices <= np.iinfo(np.int32).max else np.int64
     # 0-based clause sets as the k rows of a (k, m) array, each column sorted.
-    sets = _network_sort(np.array(cleaned.scopes.T, dtype=itype) - 1)
+    sets = _network_sort(np.array(cleaned.scopes.T, dtype=np.int32) - 1)
     # One int64 key per set, its colex rank among the k-subsets: equal keys
     # are equal sets, so one argsort puts each set's copies in one run, and
     # each run's rhs sum is its weight. A set of weight 0 contributes only
@@ -230,15 +232,14 @@ def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
     # Every entry at once: S = A + W, T = B + W for each half split (A, B) of
     # each clause set and each pad W outside it, shaped (clause, split, pad).
     half = k // 2
-    splits = np.array(list(combinations(range(k), half)), dtype=np.int64).reshape(-1, half)
-    pads = np.array(list(combinations(range(inst.n - k), ell - half)),
-                    dtype=itype).reshape(comb(inst.n - k, ell - half), ell - half)
+    splits = all_subsets(k, half)
+    pads = all_subsets(inst.n - k, ell - half).astype(np.int32)
     # The p-th element outside a sorted set c is p + #{j : c_j - j <= p}.
-    shift = uniq - np.arange(k, dtype=itype)[:, None]
-    w = [(p + (shift[:, :, None] <= p).sum(axis=0, dtype=itype))[:, None] for p in pads.T]
+    shift = uniq - np.arange(k, dtype=np.int32)[:, None]
+    w = [(p + (shift[:, :, None] <= p).sum(axis=0, dtype=np.int32))[:, None] for p in pads.T]
     a = [uniq[j].T[:, :, None] for j in splits.T]
-    ranks = _union_rank(a, w, _comb_table(inst.n, ell, itype))
-    # Complementing a half reverses lex order, so B's split is A's read
+    ranks = _union_rank(a, w, _comb_table(inst.n, ell, np.int32))
+    # Complementing a half reverses colex order, so B's split is A's read
     # backwards and the column ranks are the row ranks with the splits reversed.
     rows, cols = ranks.ravel(), ranks[:, ::-1].ravel()
     # Entries are stored in the narrowest signed type that holds every weight
@@ -250,7 +251,7 @@ def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
     # counts the rows and sorts each row's columns.
     mat = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices)).tocsr()
     del ranks, rows, cols, data  # freed before the widening copy, which sets the peak
-    mat.data = mat.data.astype(np.int64)
+    mat.data = mat.data.astype(np.float64)
     return KikuchiMatrix(inst.n, ell, k, mat, pairs_per_clause, num_vertices,
                          cleaned.m, inst.m - cleaned.m)
 
@@ -267,9 +268,14 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
     and at the cap: steps_taken is a multiple of RITZ_STRIDE, the cap or a
     breakdown, and a run that converges stops at most RITZ_STRIDE - 1 steps
     later than a test on every step would. Basis rows a short run never
-    reaches stay untouched.
+    reaches stay untouched. A basis over DEFAULT_BASIS_BYTES raises
+    ResourceLimitError before it is allocated.
     """
-    basis = np.empty((min(steps, dim), dim))
+    rows = min(steps, dim)
+    if rows * dim * 8 > DEFAULT_BASIS_BYTES:
+        raise ResourceLimitError(f"a {rows}-step Lanczos basis on {dim} vertices exceeds "
+                                 f"the basis cap of {DEFAULT_BASIS_BYTES} bytes")
+    basis = np.empty((rows, dim))
     alpha = np.zeros(len(basis))
     beta = np.zeros(len(basis))
     basis[0] = v0 / np.linalg.norm(v0)
@@ -296,8 +302,7 @@ def _certificate_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float, seed: int):
     """(||A|| estimate, Lanczos steps, residual on A^2); see spectral_norm."""
     if not (1e-8 < tol < 0.5):
         raise ParameterError("tol must lie in (1e-8, 0.5)")
-    a = kik.matrix if isinstance(kik, KikuchiMatrix) else kik
-    a = a.tocsr().astype(np.float64)
+    a = kik.matrix if isinstance(kik, KikuchiMatrix) else kik.tocsr().astype(np.float64, copy=False)
     dim = a.shape[0]
     eps = tol * (2.0 - tol)
     steps = ceil((log(1.648 * sqrt(dim) / FAILURE_PROB) / sqrt(eps) + 1) / 2)
@@ -337,15 +342,15 @@ class RefutationReport:
     residual: float
 
 
-def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
-                  seed: int = 0) -> RefutationReport:
-    if inst.m == 0:
+def certificate_report(kik: KikuchiMatrix, tol: float = 1e-3, seed: int = 0) -> RefutationReport:
+    """The certificate of a built matrix over its m = used + dropped clauses."""
+    m = kik.used_clauses + kik.dropped_clauses
+    if m == 0:
         raise ParameterError("cannot certify an empty instance")
-    kik = build_kikuchi(inst, ell)
     lam, steps, residual = _certificate_norm(kik, tol, seed)
     # lam / (1 - tol) upper-bounds ||A|| except with probability FAILURE_PROB.
-    dropped_frac = kik.dropped_clauses / inst.m
-    delta = (lam / (1.0 - tol)) * kik.num_vertices / (inst.m * kik.pairs_per_clause) + dropped_frac
+    dropped_frac = kik.dropped_clauses / m
+    delta = (lam / (1.0 - tol)) * kik.num_vertices / (m * kik.pairs_per_clause) + dropped_frac
     return RefutationReport(
         delta_hat=float(delta),
         spectral_estimate=float(lam),
@@ -358,6 +363,11 @@ def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
         lanczos_steps=steps,
         residual=residual,
     )
+
+
+def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
+                  seed: int = 0) -> RefutationReport:
+    return certificate_report(build_kikuchi(inst, ell), tol, seed)
 
 
 def refutation_certificate(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0) -> float:
@@ -378,13 +388,13 @@ def write_kikuchi_dump(kik: KikuchiMatrix, path: str):
     out = np.empty(coo.nnz, dtype=_TRIPLE)
     out["row"] = coo.row
     out["col"] = coo.col
-    out["val"] = coo.data
+    out["val"] = coo.data.astype(np.int32)
     header = f"kik {kik.n} {kik.ell} {coo.nnz}\n".encode()
     atomic_write_bytes(path, header + out.tobytes())
 
 
 def read_kikuchi_dump(path: str) -> tuple[int, int, sp.csr_matrix]:
-    """Returns (n, ell, matrix); arity is not recorded in the format.
+    """Returns (n, ell, matrix), as float64 CSR like build_kikuchi's; arity is not recorded.
 
     A header with more than DEFAULT_VERTEX_CAP vertices raises
     ResourceLimitError, as build_kikuchi does.
@@ -408,7 +418,7 @@ def read_kikuchi_dump(path: str) -> tuple[int, int, sp.csr_matrix]:
                 or triples["col"].min() < 0 or triples["col"].max() >= dim):
         raise FormatError("vertex rank out of range")
     mat = sp.coo_matrix(
-        (triples["val"].astype(np.int64), (triples["row"], triples["col"])),
+        (triples["val"].astype(np.float64), (triples["row"], triples["col"])),
         shape=(dim, dim),
     ).tocsr()
     return n, ell, mat

@@ -246,7 +246,8 @@ def lexsort_kikuchi(inst, ell):
 
     Sorts each scope row with np.sort, finds equal clause sets with
     np.lexsort and a k-column compare of neighbouring rows, ranks the rows
-    and the columns separately in int64, and sums them into CSR through COO.
+    and the columns separately in int64, and sums them into CSR through COO
+    with float64 entries.
     """
     k, n = inst.k, inst.n
     dim = math.comb(n, ell)
@@ -272,7 +273,7 @@ def lexsort_kikuchi(inst, ell):
     rows = _pairwise_union_rank([uniq[:, j, None] for j in splits.T], w, table).ravel()
     cols = _pairwise_union_rank([uniq[:, j, None] for j in rests.T], w, table).ravel()
     data = np.repeat(weights, len(splits) * len(pads))
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.int64).tocsr()
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim), dtype=np.float64).tocsr()
     return KikuchiMatrix(n, ell, k, mat, math.comb(k, half) * math.comb(n - k, ell - half),
                          dim, cleaned.m, inst.m - cleaned.m)
 

@@ -19,7 +19,7 @@ from rpcsp import (
 from rpcsp.cli import MANIFEST_SCHEMA, SWEEP_SCHEMA, cli_main, eval_m_rule
 from rpcsp.fourier import write_planting
 from rpcsp.instances import read_assignment, read_csp, read_xor
-from rpcsp.kikuchi import read_kikuchi_dump
+from rpcsp.kikuchi import build_kikuchi, read_kikuchi_dump
 
 
 def _run(argv):
@@ -172,6 +172,29 @@ def test_refute_prints_json_and_dumps_matrix(tmp_path, capsys):
     n, ell, mat = read_kikuchi_dump(out + ".kik")
     assert (n, ell) == (20, 2)
     assert mat.nnz == on_disk["nnz"]
+
+
+def test_refute_dump_matrix_builds_once_and_dumps_what_a_fresh_build_gives(
+        tmp_path, monkeypatch):
+    gen, out = str(tmp_path / "g"), str(tmp_path / "r")
+    _run(["generate", "xor", "--n", "14", "--k", "4", "--m", "500",
+          "--eps", "0.3", "--seed", "3", "--out", gen])
+    builds = []
+
+    def counting_build(inst, ell):
+        builds.append(ell)
+        return build_kikuchi(inst, ell)
+
+    monkeypatch.setattr("rpcsp.cli.build_kikuchi", counting_build)
+    monkeypatch.setattr("rpcsp.kikuchi.build_kikuchi", counting_build)
+    assert _run(["refute", "--in", gen + ".xor", "--ell", "3",
+                 "--seed", "3", "--out", out, "--dump-matrix"]) == 0
+    assert builds == [3]
+    _, _, got = read_kikuchi_dump(out + ".kik")
+    want = build_kikuchi(read_xor(gen + ".xor"), 3).matrix
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 # --------------------------------------------------------------------- fourier

@@ -16,6 +16,7 @@ from _oracles import (
     naive_pair_gram,
 )
 from rpcsp import (
+    BackendChoice,
     FormatError,
     ParameterError,
     ResourceLimitError,
@@ -26,14 +27,17 @@ from rpcsp import (
     random_assignment,
     refutation_certificate,
     sample_planted_xor,
+    solve_xor,
     spectral_norm,
 )
 from rpcsp.kikuchi import (
+    DEFAULT_BASIS_BYTES,
     DEFAULT_ENTRY_CAP,
     DEFAULT_VERTEX_CAP,
     _TRIPLE,
     KikuchiMatrix,
     all_subsets,
+    certificate_report,
     read_kikuchi_dump,
     refute_report,
     subset_rank,
@@ -117,7 +121,7 @@ def test_heavy_clause_set_keeps_its_full_weight():
     scopes = np.array([[1, 2], [2, 1]] * 150 + [[3, 4]], dtype=np.int64)
     inst = XorInstance(4, 2, scopes, np.array([1] * 300 + [-1], dtype=np.int8))
     got, want = build_kikuchi(inst, 1).matrix, lexsort_kikuchi(inst, 1).matrix
-    assert got[0, 1] == 300 and got.dtype == np.int64
+    assert got[0, 1] == 300 and got.dtype == np.float64
     assert np.array_equal(got.data, want.data) and np.array_equal(got.indices, want.indices)
 
 
@@ -218,7 +222,7 @@ def test_build_kikuchi_matches_the_lexsort_builder(data):
     for name in ("indptr", "indices", "data"):
         g, w = getattr(got.matrix, name), getattr(want.matrix, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
-    assert got.matrix.data.dtype == np.int64 and got.matrix.indices.dtype == np.int32
+    assert got.matrix.data.dtype == np.float64 and got.matrix.indices.dtype == np.int32
     assert got.matrix.shape == want.matrix.shape
     assert got.matrix.has_canonical_format
     assert (got.used_clauses, got.dropped_clauses) == (want.used_clauses, want.dropped_clauses)
@@ -309,6 +313,52 @@ def test_spectral_norm_bound_holds_when_the_top_of_the_spectrum_is_crowded():
     assert spectral_norm(a, tol=1e-3) / (1 - 1e-3) >= 1.0
 
 
+def test_spectral_solve_and_norm_multiply_the_built_matrix_without_a_copy(monkeypatch):
+    # Every csr astype that returns a new matrix is a copy of the lift.
+    astype, copies = sp.csr_matrix.astype, []
+
+    def recording_astype(self, *args, **kwargs):
+        out = astype(self, *args, **kwargs)
+        if out is not self:
+            copies.append((self.shape, out.dtype))
+        return out
+
+    monkeypatch.setattr(sp.csr_matrix, "astype", recording_astype)
+    x = random_assignment(12, 4)
+    inst = sample_planted_xor(x, 3000, 4, 0.1, 4)
+    solve_xor(inst, 3, BackendChoice.kikuchi_spectral(), 4)
+    kik = build_kikuchi(inst, 3)
+    assert kik.matrix.dtype == np.float64
+    spectral_norm(kik)
+    assert copies == []
+    kik.matrix.astype(np.int32)  # the recorder sees a real copy
+    assert copies == [(kik.matrix.shape, np.int32)]
+
+
+def test_lanczos_basis_cap_raises_before_the_basis_exists():
+    # 600,000 vertices: the certificate's 235-step basis would take 1.13 GB.
+    a = sp.csr_matrix((600_000, 600_000))
+    assert 235 * 600_000 * 8 > DEFAULT_BASIS_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="basis cap"):
+            spectral_norm(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+
+
+def test_lanczos_basis_cap_admits_a_basis_of_exactly_its_size(monkeypatch):
+    # 30 vertices cap the certificate's steps at 30: a 30 x 30 float64 basis of 7,200 bytes.
+    a = sp.diags(np.arange(1.0, 31.0))
+    monkeypatch.setattr("rpcsp.kikuchi.DEFAULT_BASIS_BYTES", 7200)
+    assert spectral_norm(a) == pytest.approx(30.0, rel=1e-3)
+    monkeypatch.setattr("rpcsp.kikuchi.DEFAULT_BASIS_BYTES", 7199)
+    with pytest.raises(ResourceLimitError, match="basis cap"):
+        spectral_norm(a)
+
+
 def test_certificate_runs_the_step_count_its_failure_probability_needs():
     # (ln(1.648 sqrt(2024) / 1e-6) / sqrt(eps) + 1) / 2 with eps = tol (2 - tol)
     rep = refute_report(_random_signs_instance(24, 2000, 4, 5), 3, tol=1e-3, seed=5)
@@ -366,6 +416,14 @@ def test_all_clauses_dropped_gives_trivial_certificate():
     assert rep.used_clauses == 0
     assert rep.delta_hat == 1.0  # pure dropped-mass bound
     assert rep.spectral_estimate == 0.0 and rep.lanczos_steps == 1
+
+
+def test_empty_instance_has_no_certificate():
+    inst = XorInstance(6, 2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int8))
+    with pytest.raises(ParameterError, match="empty"):
+        refute_report(inst, 1)
+    with pytest.raises(ParameterError, match="empty"):
+        certificate_report(build_kikuchi(inst, 1))
 
 
 def test_build_rejects_odd_arity():
