@@ -314,7 +314,7 @@ def test_spectral_norm_bound_holds_when_the_top_of_the_spectrum_is_crowded():
 
 
 def test_spectral_solve_and_norm_multiply_the_built_matrix_without_a_copy(monkeypatch):
-    # Every csr astype that returns a new matrix is a copy of the lift.
+    # A csr astype that returns a new matrix copies it; the solve and the norm make none.
     astype, copies = sp.csr_matrix.astype, []
 
     def recording_astype(self, *args, **kwargs):
