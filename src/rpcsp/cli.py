@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,13 +39,11 @@ from .instances import (
     read_xor,
     sample_planted_csp,
     sample_planted_xor,
-    validate_assignment,
-    value,
     write_assignment,
     write_csp,
     write_xor,
 )
-from .kikuchi import build_kikuchi, certificate_report, write_kikuchi_dump
+from .kikuchi import build_kikuchi, certificate_report, check_certificate, write_kikuchi_dump
 from .rng import cell_seed, check_seed
 from .solver import default_ell, solve_csp, solve_xor
 
@@ -243,10 +241,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_refute(args) -> int:
+    if args.dump_matrix and not args.out:
+        raise ParameterError("--dump-matrix writes <out>.kik and needs --out")
     seed = _effective_seed(args)
     inst = _read_instance(args.infile)
     if hasattr(inst, "predicate"):
         raise ParameterError("refute expects an XOR instance")
+    check_certificate(inst.n, args.ell, args.tol)
     kik = build_kikuchi(inst, args.ell)
     rep = certificate_report(kik, tol=args.tol, seed=seed)
     payload = {"command": "refute", **asdict(rep),

@@ -256,6 +256,15 @@ def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
                          cleaned.m, inst.m - cleaned.m)
 
 
+def _basis_rows(steps: int, dim: int) -> int:
+    """Rows of _lanczos's basis, or ResourceLimitError if they exceed DEFAULT_BASIS_BYTES."""
+    rows = min(steps, dim)
+    if rows * dim * 8 > DEFAULT_BASIS_BYTES:
+        raise ResourceLimitError(f"a {rows}-step Lanczos basis on {dim} vertices exceeds "
+                                 f"the basis cap of {DEFAULT_BASIS_BYTES} bytes")
+    return rows
+
+
 def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
     """Top eigenpair of a symmetric operator by Lanczos with full reorthogonalization.
 
@@ -271,11 +280,7 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
     reaches stay untouched. A basis over DEFAULT_BASIS_BYTES raises
     ResourceLimitError before it is allocated.
     """
-    rows = min(steps, dim)
-    if rows * dim * 8 > DEFAULT_BASIS_BYTES:
-        raise ResourceLimitError(f"a {rows}-step Lanczos basis on {dim} vertices exceeds "
-                                 f"the basis cap of {DEFAULT_BASIS_BYTES} bytes")
-    basis = np.empty((rows, dim))
+    basis = np.empty((_basis_rows(steps, dim), dim))
     alpha = np.zeros(len(basis))
     beta = np.zeros(len(basis))
     basis[0] = v0 / np.linalg.norm(v0)
@@ -298,14 +303,33 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
     return float(theta[0]), q.T @ s[:, 0], j + 1, residual
 
 
-def _certificate_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float, seed: int):
-    """(||A|| estimate, Lanczos steps, residual on A^2); see spectral_norm."""
+def _certificate_steps(dim: int, tol: float) -> int:
+    """Lanczos steps on A^2 for accuracy tol on dim vertices; see spectral_norm.
+
+    Raises ParameterError for a tol outside (1e-8, 0.5) and ResourceLimitError
+    for a basis over DEFAULT_BASIS_BYTES.
+    """
     if not (1e-8 < tol < 0.5):
         raise ParameterError("tol must lie in (1e-8, 0.5)")
-    a = kik.matrix if isinstance(kik, KikuchiMatrix) else kik.tocsr().astype(np.float64, copy=False)
-    dim = a.shape[0]
     eps = tol * (2.0 - tol)
     steps = ceil((log(1.648 * sqrt(dim) / FAILURE_PROB) / sqrt(eps) + 1) / 2)
+    _basis_rows(steps, dim)
+    return steps
+
+
+def check_certificate(n: int, ell: int, tol: float):
+    """Raise, before any build, what the level-ell certificate would reject after it.
+
+    The tol range and the Lanczos basis cap depend only on C(n, ell) and tol.
+    """
+    _certificate_steps(_vertex_count(n, ell), tol)
+
+
+def _certificate_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float, seed: int):
+    """(||A|| estimate, Lanczos steps, residual on A^2); see spectral_norm."""
+    a = kik.matrix if isinstance(kik, KikuchiMatrix) else kik.tocsr().astype(np.float64, copy=False)
+    dim = a.shape[0]
+    steps = _certificate_steps(dim, tol)
     v0 = derived_rng(check_seed(seed), STREAM_SPECTRAL).standard_normal(dim)
     theta, _, taken, residual = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
     return sqrt(max(theta, 0.0)), taken, residual
@@ -367,6 +391,7 @@ def certificate_report(kik: KikuchiMatrix, tol: float = 1e-3, seed: int = 0) -> 
 
 def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
                   seed: int = 0) -> RefutationReport:
+    check_certificate(inst.n, ell, tol)
     return certificate_report(build_kikuchi(inst, ell), tol, seed)
 
 

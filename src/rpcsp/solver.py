@@ -2,10 +2,12 @@
 
 The XOR solver splits the clause list in half: the first half feeds a
 pseudo-expectation backend whose rounding gives an approximate assignment
-(up to a global sign), and the second half majority-corrects both signed
-versions from one vote tally, keeping whichever scores higher. Arity 1 is
-plain per-variable majority; for odd arities the non-brute backends run on
-the first half's clauses paired into arity 2k.
+x_hat (up to a global sign), and one majority round on the second half
+corrects x_hat. The round from -x_hat is not tried: for odd k it casts the
+same votes, and for even k it is the negated round off tied variables, of
+the same value, since negation leaves every even-arity XOR value unchanged.
+Arity 1 is plain per-variable majority; for odd arities the non-brute
+backends run on the first half's clauses paired into arity 2k.
 
 The CSP solver projects the instance onto XOR instances over position
 subsets (smallest subsets first), solves each side, and returns the first
@@ -14,7 +16,6 @@ candidate that satisfies every clause.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .approx_recovery import (
     solve_pseudo_expectation,
 )
 from .errors import ParameterError
-from .exact_rounding import majority_round_detail, majority_round_signed
+from .exact_rounding import majority_round_detail
 from .fourier import distribution_complexity, fourier_table, subsets_by_size
 from .instances import (
     Assignment,
@@ -116,10 +117,7 @@ def solve_xor(
 
     if inst.k == 1:
         # An arity-1 vote is the clause's rhs whatever the assignment voted from.
-        out, info = majority_round_detail(inst, np.ones(inst.n, dtype=np.int8))
-        stats["majority"] = info
-        stats["value"] = value(inst, out)
-        report = SolveReport(out, candidates=[out], stats=stats)
+        h2, x_hat = inst, np.ones(inst.n, dtype=np.int8)
     else:
         h1_size = (inst.m + 1) // 2
         h1 = _slice(inst, 0, h1_size)
@@ -147,23 +145,11 @@ def solve_xor(
             stats["delta_istar"] = float(deltas[i_star])
         stats["stage1_signs"] = x_hat.copy()
 
-        if h2.m == 0:
-            # Nothing to correct or score against; return the raw stage-1 guess.
-            stats["stage2"] = "skipped_empty_h2"
-            report = SolveReport(x_hat, candidates=[x_hat, -x_hat], stats=stats)
-        else:
-            (cand_plus, info_plus), (cand_minus, info_minus) = majority_round_signed(h2, x_hat)
-            val_plus = value(h2, cand_plus)
-            val_minus = val_plus if cand_minus is cand_plus else value(h2, cand_minus)
-            if val_minus > val_plus:
-                out, info, chosen = cand_minus, info_minus, "minus"
-            else:
-                out, info, chosen = cand_plus, info_plus, "plus"
-            stats["stage2_values"] = [val_plus, val_minus]
-            stats["stage2_sign"] = chosen
-            stats["majority"] = info
-            stats["value"] = value(inst, out)
-            report = SolveReport(out, candidates=[cand_plus, cand_minus], stats=stats)
+    # An empty h2 casts no vote, so the round returns x_hat unchanged.
+    out, info = majority_round_detail(h2, x_hat)
+    stats["majority"] = info
+    stats["value"] = value(inst, out)
+    report = SolveReport(out, candidates=[out], stats=stats)
 
     if planted is not None:
         planted = validate_assignment(planted, inst.n)

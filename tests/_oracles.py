@@ -82,8 +82,13 @@ def naive_vote_sums(inst, x_tilde):
 
 
 def naive_majority(inst, x_tilde):
-    """Per-variable co-hyperedge majority vote; ties and empty votes give +1."""
-    return np.where(naive_vote_sums(inst, x_tilde) >= 0, 1, -1).astype(np.int8)
+    """Per-variable co-hyperedge majority vote; ties give +1, empty votes keep x_tilde."""
+    voted = np.zeros(inst.n, dtype=bool)
+    for row in inst.scopes.tolist():
+        if len(set(row)) == len(row):
+            voted[np.array(row) - 1] = True
+    majority = np.where(naive_vote_sums(inst, x_tilde) >= 0, 1, -1)
+    return np.where(voted, majority, x_tilde).astype(np.int8)
 
 
 def naive_clean(inst):
@@ -96,10 +101,10 @@ def naive_clean(inst):
     return kept, float(1.0 - distinct.mean())
 
 
-def naive_majority_detail(inst, x_tilde, unvoted=1):
+def naive_majority_detail(inst, x_tilde):
     """One majority round with its diagnostics, tallied by np.add.at over every vote.
 
-    A variable with no vote gets unvoted: +1, or its entry of a sign vector.
+    A variable with no vote keeps its sign in x_tilde.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.int8)
     cleaned, dropped = naive_clean(inst)
@@ -113,7 +118,7 @@ def naive_majority_detail(inst, x_tilde, unvoted=1):
         np.add.at(counts, flat, 1)
     covered = counts > 0
     out = np.where(sums >= 0, 1, -1).astype(np.int8)
-    out[~covered] = np.broadcast_to(unvoted, out.shape)[~covered]
+    out[~covered] = x_tilde[~covered]
     info = {
         "empty_votes": int((~covered).sum()),
         "tied_votes": int(((sums == 0) & covered).sum()),
@@ -123,26 +128,6 @@ def naive_majority_detail(inst, x_tilde, unvoted=1):
         "dropped_fraction": dropped,
     }
     return out, info
-
-
-def naive_stage2(h2, x_hat):
-    """solve_xor's stage 2 as two separate rounds, from x_hat and from -x_hat.
-
-    A variable with no vote keeps its sign in the assignment voted from; for
-    odd k the round from -x_hat casts the same votes as the one from x_hat,
-    and both keep x_hat there. Returns (cand_plus, cand_minus, info_plus,
-    info_minus, [value_plus, value_minus], sign), where sign is "minus" only
-    if that value is higher.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.int8)
-    plus, info_plus = naive_majority_detail(h2, x_hat, unvoted=x_hat)
-    minus, info_minus = naive_majority_detail(h2, -x_hat, unvoted=x_hat if h2.k % 2 else -x_hat)
-    values = [
-        float(np.mean(np.prod(cand[h2.scopes - 1].astype(np.int64), axis=1) == h2.rhs))
-        for cand in (plus, minus)
-    ]
-    sign = "minus" if values[1] > values[0] else "plus"
-    return plus, minus, info_plus, info_minus, values, sign
 
 
 def greedy_pair_to_even(inst, seed):

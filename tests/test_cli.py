@@ -13,12 +13,13 @@ from rpcsp import (
     CspPredicate,
     ParameterError,
     PlantingDistribution,
+    XorInstance,
     solve_csp,
     value,
 )
 from rpcsp.cli import MANIFEST_SCHEMA, SWEEP_SCHEMA, cli_main, eval_m_rule
 from rpcsp.fourier import write_planting
-from rpcsp.instances import read_assignment, read_csp, read_xor
+from rpcsp.instances import read_assignment, read_csp, read_xor, write_xor
 from rpcsp.kikuchi import build_kikuchi, read_kikuchi_dump
 
 
@@ -195,6 +196,28 @@ def test_refute_dump_matrix_builds_once_and_dumps_what_a_fresh_build_gives(
     for name in ("indptr", "indices", "data"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_refute_checks_tol_and_the_basis_cap_before_it_builds(tmp_path, monkeypatch):
+    # Random-sign 4-XOR at n = 70 and ell = 4: 916,895 vertices, a 1.75 GB basis.
+    rng = np.random.default_rng(5)
+    path = str(tmp_path / "big.xor")
+    write_xor(XorInstance(70, 4, rng.integers(1, 71, size=(100, 4)),
+                          rng.choice(np.array([-1, 1], np.int8), size=100)), path)
+    def no_build(*args):
+        raise AssertionError("build_kikuchi ran before the checks")
+
+    monkeypatch.setattr("rpcsp.cli.build_kikuchi", no_build)
+    assert _run(["refute", "--in", path, "--ell", "4"]) == 3
+    assert _run(["refute", "--in", path, "--ell", "4", "--tol", "0.7"]) == 1
+
+
+def test_refute_dump_matrix_needs_out(tmp_path, capsys):
+    # The input does not exist: the flag check comes before the instance is read.
+    code = _run(["refute", "--in", str(tmp_path / "missing.xor"), "--ell", "2", "--dump-matrix"])
+    assert code == 1
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------- fourier

@@ -62,12 +62,19 @@ def test_majority_sign_invariance_for_odd_arity():
 
 def test_majority_sign_equivariance_for_even_arity_off_ties():
     inst = _random_signs_instance(10, 81, 4, 11)
-    xt = random_assignment(10, 12)
-    out, _ = majority_round_detail(inst, xt)
-    out_f, _ = majority_round_detail(inst, -xt)
-    untied = naive_vote_sums(inst, xt) != 0
-    assert untied.any()
-    assert np.array_equal(out[untied], -out_f[untied])
+    # Variables 11 and 12 get no vote: 11 is in no clause, 12 only in one with
+    # a repeated entry. Each keeps its sign, so it negates with the assignment.
+    unvoted = XorInstance(12, 4, np.vstack([inst.scopes, [[12, 12, 1, 2]]]),
+                          np.append(inst.rhs, np.int8(1)))
+    for inst, seed in ((inst, 12), (unvoted, 13)):
+        xt = random_assignment(inst.n, seed)
+        out, info = majority_round_detail(inst, xt)
+        out_f, _ = majority_round_detail(inst, -xt)
+        untied = naive_vote_sums(inst, xt) != 0
+        assert untied.any()
+        assert np.array_equal(out[untied], -out_f[untied])
+    assert info["empty_votes"] == 2
+    assert np.array_equal(out[10:], xt[10:]) and np.array_equal(out_f[10:], -xt[10:])
 
 
 def test_majority_detail_reports_structure():
@@ -77,9 +84,11 @@ def test_majority_detail_reports_structure():
     out, info = majority_round_detail(inst, np.ones(4, dtype=np.int8))
     # variables 1 and 2 receive one +1 and one -1 vote each: tied -> +1
     assert out[0] == 1 and out[1] == 1
-    # variable 4 never appears: empty vote -> +1
+    # variable 4 never appears: empty vote -> its sign in the assignment voted from
     assert out[3] == 1
     assert info["dropped_fraction"] == pytest.approx(1 / 3)
+    x = np.array([1, 1, 1, -1], dtype=np.int8)
+    assert np.array_equal(majority_round(inst, x), x)
 
 
 def test_majority_on_noiseless_instance_fixes_everything():

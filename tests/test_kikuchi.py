@@ -359,6 +359,21 @@ def test_lanczos_basis_cap_admits_a_basis_of_exactly_its_size(monkeypatch):
         spectral_norm(a)
 
 
+def test_refute_checks_tol_and_the_basis_cap_before_it_builds(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("build_kikuchi ran before the checks")
+
+    monkeypatch.setattr("rpcsp.kikuchi.build_kikuchi", no_build)
+    # 916,895 vertices at ell = 4: the certificate's 238-step basis would take 1.75 GB.
+    rng = np.random.default_rng(5)
+    inst = XorInstance(70, 4, rng.integers(1, 71, size=(100, 4)),
+                       rng.choice(np.array([-1, 1], np.int8), size=100))
+    with pytest.raises(ResourceLimitError, match="238-step Lanczos basis on 916895 vertices"):
+        refute_report(inst, 4)
+    with pytest.raises(ParameterError, match="tol"):
+        refutation_certificate(inst, 4, tol=0.7)
+
+
 def test_certificate_runs_the_step_count_its_failure_probability_needs():
     # (ln(1.648 sqrt(2024) / 1e-6) / sqrt(eps) + 1) / 2 with eps = tol (2 - tol)
     rep = refute_report(_random_signs_instance(24, 2000, 4, 5), 3, tol=1e-3, seed=5)

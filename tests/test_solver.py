@@ -1,7 +1,7 @@
 """Tests for the two-stage XOR solver, arity pairing, and the CSP driver."""
 import numpy as np
 import pytest
-from _oracles import greedy_pair_to_even, naive_stage2
+from _oracles import greedy_pair_to_even, naive_majority_detail
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from rpcsp import (
     solve_xor,
     value,
 )
-from rpcsp.exact_rounding import majority_round_signed
+from rpcsp.exact_rounding import majority_round_detail
 from rpcsp.instances import clean
 from rpcsp.reduction import build_xor_side
 from rpcsp.rng import cell_seed, derived_rng
@@ -144,7 +144,7 @@ def test_solve_xor_odd_brute_recovers_exactly():
     assert rep.stats["stage1_signs"].shape == (12,)
     h1, h2 = rep.stats["split"]
     assert h1 + h2 == inst.m and h1 == -(-inst.m // 2)
-    assert len(rep.stats["stage2_values"]) == 2
+    assert len(rep.candidates) == 1 and rep.candidates[0] is rep.output
 
 
 def test_solve_xor_even_reports_sign_match():
@@ -171,6 +171,10 @@ def test_solve_xor_single_clause_skips_stage_two():
     rep = solve_xor(inst, None, BackendChoice.brute(), 0)
     assert rep.output.shape == (6,)
     assert rep.stats["split"][1] == 0
+    # The round on the empty second half leaves every variable unvoted.
+    assert np.array_equal(rep.output, rep.stats["stage1_signs"])
+    assert rep.stats["majority"]["empty_votes"] == 6
+    assert rep.stats["value"] == value(inst, rep.output)
 
 
 def test_solve_xor_stage_two_corrects_stage_one():
@@ -238,7 +242,7 @@ def test_solve_xor_stage_one_ignores_second_half_order():
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_stage_two_matches_two_separate_rounds(data):
+def test_stage_two_is_one_majority_round_from_the_stage_one_signs(data):
     k = data.draw(st.integers(2, 6))
     n = data.draw(st.integers(k + 2, k + 5))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -260,23 +264,19 @@ def test_stage_two_matches_two_separate_rounds(data):
 
     rep = solve_xor(inst, None, BackendChoice.brute(), 0)
     x_hat = rep.stats["stage1_signs"]
-    plus, minus, info_plus, info_minus, values, sign = naive_stage2(h2, x_hat)
-    assert info_plus["empty_votes"] >= 1 and info_plus["tied_votes"] >= 1
-    assert info_plus["dropped_fraction"] > 0
-    assert len(rep.candidates) == 2
-    for got, want in zip(rep.candidates, (plus, minus)):
-        assert got.dtype == np.int8 and np.array_equal(got, want)
-    assert rep.stats["stage2_values"] == values
-    assert rep.stats["stage2_sign"] == sign
-    assert rep.stats["majority"] == (info_minus if sign == "minus" else info_plus)
-    assert np.array_equal(rep.output, minus if sign == "minus" else plus)
-    # Both info dicts, from the stage-1 signs and from an arbitrary assignment.
+    want, info = naive_majority_detail(h2, x_hat)
+    assert info["empty_votes"] >= 1 and info["tied_votes"] >= 1
+    assert info["dropped_fraction"] > 0
+    assert rep.output.dtype == np.int8 and np.array_equal(rep.output, want)
+    assert rep.output[n - 1] == x_hat[n - 1]
+    assert rep.stats["majority"] == info
+    assert len(rep.candidates) == 1 and rep.candidates[0] is rep.output
+    assert rep.stats["value"] == value(inst, rep.output)
+    # The same round from an arbitrary assignment.
     x_any = rng.choice(np.array([-1, 1], np.int8), size=n)
-    for x in (x_hat, x_any):
-        want_plus, want_minus, want_ip, want_im, _, _ = naive_stage2(h2, x)
-        (got_plus, got_ip), (got_minus, got_im) = majority_round_signed(h2, x)
-        assert np.array_equal(got_plus, want_plus) and np.array_equal(got_minus, want_minus)
-        assert got_ip == want_ip and got_im == want_im
+    got, got_info = majority_round_detail(h2, x_any)
+    want, want_info = naive_majority_detail(h2, x_any)
+    assert np.array_equal(got, want) and got_info == want_info
 
 
 def test_stage_two_keeps_the_stage_one_sign_of_a_variable_with_no_vote():
