@@ -38,6 +38,9 @@ PSD_TOL = 1e-8
 AGREEMENT_FRACTION = 0.99
 # kikuchi_spectral stops once its Ritz residual is below this share of the top eigenvalue.
 RITZ_RTOL = 1e-8
+# brute transforms a 2^n int32 table, 256 MB at n = 26; an n = 26 solve_xor
+# (3-XOR, m = 400) peaks at 571 MB RSS, 59 MB of it before the solve.
+BRUTE_MAX_N = 26
 
 BACKEND_KINDS = ("brute", "sdp_basic", "kikuchi_spectral")
 
@@ -45,27 +48,21 @@ BACKEND_KINDS = ("brute", "sdp_basic", "kikuchi_spectral")
 @dataclass(frozen=True)
 class BackendChoice:
     kind: str
-    rank: int | None = None
     iters: int = 200
-    assignment_cap: int = 24
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
             raise ParameterError(f"unknown backend {self.kind!r}")
-        if self.rank is not None and self.rank < 1:
-            raise ParameterError("rank must be >= 1")
         if self.iters < 1:
             raise ParameterError("iteration budget must be >= 1")
-        if not (1 <= self.assignment_cap <= 26):
-            raise ParameterError("assignment cap must be in 1..26")
 
     @classmethod
-    def brute(cls, assignment_cap: int = 24) -> "BackendChoice":
-        return cls("brute", assignment_cap=assignment_cap)
+    def brute(cls) -> "BackendChoice":
+        return cls("brute")
 
     @classmethod
-    def sdp_basic(cls, rank: int | None = None, iters: int = 200) -> "BackendChoice":
-        return cls("sdp_basic", rank=rank, iters=iters)
+    def sdp_basic(cls, iters: int = 200) -> "BackendChoice":
+        return cls("sdp_basic", iters=iters)
 
     @classmethod
     def kikuchi_spectral(cls, iters: int = 200) -> "BackendChoice":
@@ -146,11 +143,9 @@ def _brute_scan(inst: XorInstance) -> np.ndarray:
     return walsh_hadamard(table)
 
 
-def _brute_backend(inst: XorInstance, backend: BackendChoice) -> PseudoExpectation:
-    if inst.n > backend.assignment_cap:
-        raise UnsupportedConfigError(
-            f"brute backend capped at n <= {backend.assignment_cap}, got n={inst.n}"
-        )
+def _brute_backend(inst: XorInstance) -> PseudoExpectation:
+    if inst.n > BRUTE_MAX_N:
+        raise UnsupportedConfigError(f"brute backend capped at n <= {BRUTE_MAX_N}, got n={inst.n}")
     table = _brute_scan(inst)
     best = int(table.max())
     # Moments of the uniform distribution over the argmax set are the Walsh
@@ -205,8 +200,7 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
     if inst.k != 2:
         raise UnsupportedConfigError(f"sdp_basic handles arity 2, got k={inst.k}")
     n = inst.n
-    rank = backend.rank or max(2, int(np.ceil(sqrt(2.0 * n))))
-    rank = min(rank, n)
+    rank = min(max(2, int(np.ceil(sqrt(2.0 * n)))), n)
     w = _pair_weights(inst)
     rng = derived_rng(check_seed(seed), STREAM_BACKEND)
     v = rng.standard_normal((n, rank))
@@ -267,7 +261,7 @@ def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: in
     if inst.m == 0:
         raise ParameterError("cannot build a surrogate from an empty instance")
     if backend.kind == "brute":
-        pe = _brute_backend(inst, backend)
+        pe = _brute_backend(inst)
     elif backend.kind == "sdp_basic":
         pe = _sdp_backend(inst, backend, seed)
     else:

@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: generate, solve, refute, sweep, fourier. Exit codes: 0 success,
-1 usage or parameter problem, 2 malformed input file, 3 solver resource or
-convergence failure. The RPCSP_SEED environment variable overrides --seed.
-All file writes go through a temp file plus rename.
+1 usage or parameter problem, 2 malformed input file or a path that cannot be
+read or written, 3 solver resource or convergence failure. All file writes go
+through a temp file plus rename, and a failed write leaves no temp file.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import argparse
 import ast
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,7 +47,7 @@ from .rng import cell_seed, check_seed
 from .solver import default_ell, solve_csp, solve_xor
 
 MANIFEST_SCHEMA = "rpcsp-manifest-v1"
-SWEEP_SCHEMA = "rpcsp-sweep-v1"
+SWEEP_SCHEMA = "rpcsp-sweep-v2"
 
 
 def _jsonable(obj):
@@ -65,16 +64,6 @@ def _jsonable(obj):
 
 def _write_json(path: str, payload: dict):
     atomic_write_text(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
-
-
-def _effective_seed(args) -> int:
-    env = os.environ.get("RPCSP_SEED")
-    if env is not None:
-        try:
-            return check_seed(int(env))
-        except ValueError as e:
-            raise ParameterError(f"RPCSP_SEED is not a valid seed: {env!r}") from e
-    return check_seed(args.seed)
 
 
 def _parse_predicate(text: str) -> CspPredicate:
@@ -102,13 +91,14 @@ _M_RULE_FUNCS = {
 _M_RULE_OPS = {
     ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
-    ast.Pow: lambda a, b: a ** b, ast.FloorDiv: lambda a, b: a // b,
+    # In float, so a tall power overflows at once instead of building a huge int.
+    ast.Pow: lambda a, b: float(a) ** b, ast.FloorDiv: lambda a, b: a // b,
     ast.Mod: lambda a, b: a % b,
 }
 
 
 def eval_m_rule(expr: str, **names) -> int:
-    """Evaluate a clause-count rule like 'C*n*log(n)*(n/l)^(k/2-1)/eps^2'."""
+    """Evaluate a clause-count rule like '2*n*log(n)*(n/l)^(k/2-1)/eps^2'."""
 
     def ev(node):
         if isinstance(node, ast.Expression):
@@ -135,7 +125,7 @@ def eval_m_rule(expr: str, **names) -> int:
         raise ParameterError(f"cannot parse m rule {expr!r}") from e
     try:
         m = math.ceil(ev(tree))
-    except (ArithmeticError, TypeError, ValueError) as e:  # n/l at l = 0, log(0), min()
+    except (ArithmeticError, TypeError, ValueError) as e:  # n/l at l = 0, log(0), min(), 10^400
         raise ParameterError(f"cannot evaluate m rule {expr!r}: {e}") from e
     if m < 1:
         raise ParameterError(f"m rule {expr!r} evaluated to {m}")
@@ -143,7 +133,7 @@ def eval_m_rule(expr: str, **names) -> int:
 
 
 def _backend_from_args(args) -> BackendChoice:
-    return BackendChoice(args.backend, rank=args.rank, iters=args.iters, assignment_cap=args.cap)
+    return BackendChoice(args.backend, iters=args.iters)
 
 
 def _read_instance(path: str):
@@ -161,7 +151,7 @@ def _read_instance(path: str):
 
 
 def _cmd_generate(args) -> int:
-    seed = _effective_seed(args)
+    seed = check_seed(args.seed)
     if args.planted:
         x_star = read_assignment(args.planted)
         if x_star.size != args.n:
@@ -206,7 +196,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    seed = _effective_seed(args)
+    seed = check_seed(args.seed)
     inst = _read_instance(args.infile)
     backend = _backend_from_args(args)
     planted = read_assignment(args.planted) if args.planted else None
@@ -243,7 +233,7 @@ def _cmd_solve(args) -> int:
 def _cmd_refute(args) -> int:
     if args.dump_matrix and not args.out:
         raise ParameterError("--dump-matrix writes <out>.kik and needs --out")
-    seed = _effective_seed(args)
+    seed = check_seed(args.seed)
     inst = _read_instance(args.infile)
     if hasattr(inst, "predicate"):
         raise ParameterError("refute expects an XOR instance")
@@ -261,28 +251,42 @@ def _cmd_refute(args) -> int:
 
 
 def _sweep_trial(task: tuple) -> dict:
+    """One trial's row; a solve that runs out of steps or memory is a failed trial."""
     (n, k, eps, m, ell, backend, base_seed, trial) = task
     seed_t = cell_seed(base_seed, n, float(eps), trial)
     x_star = random_assignment(n, seed_t)
     inst = sample_planted_xor(x_star, m, k, eps, seed_t)
+    row = {"n": n, "eps": eps, "m": m, "trial": trial,
+           "failed": False, "exact": False, "stage1_corr": None}
     t0 = time.perf_counter()
-    report = solve_xor(inst, ell, backend, seed_t, planted=x_star)
-    elapsed = time.perf_counter() - t0
-    stage1 = report.stats.get("stage1_signs", report.output)
-    return {
-        "n": n, "eps": eps, "m": m, "trial": trial,
-        "exact": bool(report.matched_planted),
-        "stage1_corr": abs(corr(stage1, x_star)),
-        "runtime_s": elapsed,
-    }
+    try:
+        report = solve_xor(inst, ell, backend, seed_t, planted=x_star)
+    except (ConvergenceError, ResourceLimitError):
+        row["failed"] = True
+    else:
+        row["exact"] = bool(report.matched_planted)
+        row["stage1_corr"] = abs(corr(report.stats.get("stage1_signs", report.output), x_star))
+    row["runtime_s"] = time.perf_counter() - t0
+    return row
+
+
+def _grid(text: str, kind, flag: str) -> list:
+    """The comma-separated values of a sweep grid flag, each once."""
+    try:
+        values = [kind(t) for t in text.split(",") if t]
+    except ValueError as e:
+        raise ParameterError(f"{flag}: {e}") from e
+    if not values:
+        raise ParameterError(f"{flag} needs at least one value")
+    if len(set(values)) != len(values):
+        raise ParameterError(f"{flag} repeats a value: {text!r}")
+    return values
 
 
 def _cmd_sweep(args) -> int:
-    seed = _effective_seed(args)
-    n_list = [int(t) for t in args.n_list.split(",") if t]
-    eps_list = [float(t) for t in args.eps_list.split(",") if t]
-    if not n_list or not eps_list:
-        raise ParameterError("need at least one n and one eps")
+    seed = check_seed(args.seed)
+    n_list = _grid(args.n_list, int, "--n-list")
+    eps_list = _grid(args.eps_list, float, "--eps-list")
     if args.trials < 1:
         raise ParameterError("trials must be >= 1")
     if args.jobs < 1:
@@ -292,7 +296,7 @@ def _cmd_sweep(args) -> int:
     tasks = []
     for n in n_list:
         for eps in eps_list:
-            m = eval_m_rule(args.m_rule, n=n, k=args.k, eps=eps, l=ell, C=args.constant)
+            m = eval_m_rule(args.m_rule, n=n, k=args.k, eps=eps, l=ell)
             for trial in range(args.trials):
                 tasks.append((n, args.k, eps, m, ell, backend, seed, trial))
     if args.jobs > 1:
@@ -306,18 +310,20 @@ def _cmd_sweep(args) -> int:
         cells.setdefault((r["n"], r["eps"]), []).append(r)
     lines = [
         f"# {SWEEP_SCHEMA} k={args.k} backend={args.backend} m_rule={args.m_rule!r} "
-        f"seed={seed} rank={args.rank} iters={args.iters} cap={args.cap}",
-        "n,k,eps,m,ell,backend,trials,exact_recoveries,mean_stage1_corr,mean_runtime_s",
+        f"seed={seed} iters={args.iters}",
+        "n,k,eps,m,ell,backend,trials,failures,exact_recoveries,mean_stage1_corr,mean_runtime_s",
     ]
     for n in n_list:
         for eps in eps_list:
             rows = cells[(n, eps)]
+            failures = sum(r["failed"] for r in rows)
             exact = sum(r["exact"] for r in rows)
-            mcorr = float(np.mean([r["stage1_corr"] for r in rows]))
+            corrs = [r["stage1_corr"] for r in rows if not r["failed"]]
+            mcorr = float(np.mean(corrs)) if corrs else float("nan")
             mrt = float(np.mean([r["runtime_s"] for r in rows]))
             lines.append(
                 f"{n},{args.k},{eps},{rows[0]['m']},{ell},{args.backend},"
-                f"{args.trials},{exact},{mcorr:.6f},{mrt:.6f}"
+                f"{args.trials},{failures},{exact},{mcorr:.6f},{mrt:.6f}"
             )
     atomic_write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(n_list) * len(eps_list)} cells, {len(tasks)} trials)")
@@ -372,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--backend", choices=["brute", "sdp_basic", "kikuchi_spectral"],
                    required=True)
     s.add_argument("--ell", type=int)
-    s.add_argument("--rank", type=int)
     s.add_argument("--iters", type=int, default=200)
-    s.add_argument("--cap", type=int, default=24, help="brute backend variable cap (at most 26)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--planted", help="planted assignment for the matched flag")
     s.add_argument("--plant", help="planting file enabling the CSP fast path")
@@ -393,15 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--n-list", required=True)
     w.add_argument("--eps-list", required=True)
     w.add_argument("--m-rule", required=True,
-                   help="expression in n, k, eps, l, C, e.g. 'C*n*log(n)/eps^2'")
-    w.add_argument("--constant", type=float, default=1.0)
+                   help="expression in n, k, eps, l, e.g. '40*n*log(n)/eps^2'")
     w.add_argument("--ell", type=int, help="Kikuchi level and the l of --m-rule; "
                    "default k/2 for even k and k for odd k, as in solve_xor")
     w.add_argument("--backend", choices=["brute", "sdp_basic", "kikuchi_spectral"],
                    required=True)
-    w.add_argument("--rank", type=int)
     w.add_argument("--iters", type=int, default=200)
-    w.add_argument("--cap", type=int, default=24)
     w.add_argument("--trials", type=int, default=10)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--jobs", type=int, default=1)
@@ -436,8 +437,8 @@ def cli_main(argv=None) -> int:
     except FormatError as e:
         print(f"malformed input: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"malformed input: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"file error: {e}", file=sys.stderr)
         return 2
     except ResourceLimitError as e:
         print(f"resource limit in {args.command}: {e}", file=sys.stderr)

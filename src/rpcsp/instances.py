@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import os
 import re
-import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -176,8 +175,11 @@ def _check_clause_count(m: int, k: int):
     """ParameterError unless m >= 1 and NumPy can index an (m, k) int64 scope array."""
     if m < 1:
         raise ParameterError("m must be >= 1")
-    if int(m) * k > np.iinfo(np.intp).max // 8:
-        raise ParameterError(f"m={m} clauses of arity {k} exceed the largest scope array")
+    most = np.iinfo(np.intp).max // 8 // k
+    if int(m) > most:
+        # Not m itself: an m of over 4,300 digits cannot be formatted.
+        raise ParameterError(
+            f"more than {most} clauses of arity {k} exceed the largest scope array")
 
 
 def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int) -> XorInstance:
@@ -474,10 +476,17 @@ _INT64 = np.iinfo(np.int64)
 
 @contextmanager
 def _atomic_open(path: str, mode: str = "w"):
+    """Write to path + ".tmp", then rename; a failed write or rename removes the temp file."""
     tmp = path + _TMP_SUFFIX
-    with open(tmp, mode) as f:
-        yield f
-    os.replace(tmp, path)
+    f = open(tmp, mode)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path: str, text: str):
@@ -531,9 +540,8 @@ def _parse_ints(text: bytes, what: str) -> np.ndarray:
 
     np.fromstring parses in C, and the checks around it close its gaps. It
     reads a bare sign as part of the next token, a trailing one as 0 and
-    all-whitespace text as [0], and it saturates on overflow. Where NumPy 2
-    raises on unparsable text, NumPy 1 warns and returns the values before
-    it. The byte checks and the token count reject all of these on either.
+    all-whitespace text as [0], and it saturates on overflow. The byte
+    checks and the token count reject all of these.
     """
     text = text.translate(_NORMALIZE)
     c = np.frombuffer(text, dtype=np.uint8)
@@ -544,12 +552,10 @@ def _parse_ints(text: bytes, what: str) -> np.ndarray:
     tokens = int(np.count_nonzero(space[:-1] & ~space[1:])) + int(c.size > 0 and not space[0])
     if tokens == 0:
         return np.zeros(0, dtype=np.int64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        try:
-            values = np.fromstring(text, dtype=np.int64, sep=" ")
-        except ValueError as e:
-            raise FormatError(f"non-integer token in {what}") from e
+    try:
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError as e:
+        raise FormatError(f"non-integer token in {what}") from e
     if values.size != tokens:
         raise FormatError(f"non-integer token in {what}")
     if values.max() == _INT64.max or values.min() == _INT64.min:

@@ -24,7 +24,13 @@ from rpcsp import (
     sample_planted_xor,
     solve_pseudo_expectation,
 )
-from rpcsp.approx_recovery import RITZ_RTOL, _pair_weights, _unit_gram, round_even_detail
+from rpcsp.approx_recovery import (
+    BRUTE_MAX_N,
+    RITZ_RTOL,
+    _pair_weights,
+    _unit_gram,
+    round_even_detail,
+)
 from rpcsp.kikuchi import RITZ_STRIDE, build_kikuchi
 from rpcsp.rng import cell_seed, derived_rng
 
@@ -122,17 +128,23 @@ def test_brute_unique_planted_optimum():
     assert np.array_equal(round_odd(pe), x)
 
 
-def test_brute_respects_assignment_cap():
-    inst = _random_signs_instance(11, 10, 2, 0)
-    with pytest.raises(UnsupportedConfigError):
-        solve_pseudo_expectation(
-            inst, BackendChoice.brute(assignment_cap=10), 0)
+def test_brute_respects_assignment_cap(monkeypatch):
+    monkeypatch.setattr("rpcsp.approx_recovery.BRUTE_MAX_N", 10)
+    assert solve_pseudo_expectation(_random_signs_instance(10, 10, 2, 0),
+                                    BackendChoice.brute(), 0).n == 10
+    with pytest.raises(UnsupportedConfigError, match="n <= 10"):
+        solve_pseudo_expectation(_random_signs_instance(11, 10, 2, 0), BackendChoice.brute(), 0)
 
 
-def test_brute_assignment_cap_ceiling():
-    assert BackendChoice.brute(assignment_cap=26).assignment_cap == 26
-    with pytest.raises(ParameterError):
-        BackendChoice.brute(assignment_cap=27)
+def test_brute_assignment_cap_ceiling(monkeypatch):
+    # n = 27, one past the cap, raises before the 2^27 table is allocated.
+    def no_scan(inst):
+        raise AssertionError("scanned past the cap")
+
+    monkeypatch.setattr("rpcsp.approx_recovery._brute_scan", no_scan)
+    assert BRUTE_MAX_N == 26
+    with pytest.raises(UnsupportedConfigError, match="n <= 26"):
+        solve_pseudo_expectation(_random_signs_instance(27, 10, 3, 0), BackendChoice.brute(), 0)
 
 
 # ------------------------------------------------------------------------- sdp

@@ -46,7 +46,8 @@ def test_eval_m_rule_rejects_unsafe_input():
         eval_m_rule("(lambda: 4)()")
 
 
-@pytest.mark.parametrize("expr", ["n/l", "log(l)", "exp(1000*n)", "(0-n)^0.5", "min()"])
+@pytest.mark.parametrize("expr", ["n/l", "log(l)", "exp(1000*n)", "(0-n)^0.5", "min()",
+                                  "10^4400", "10^10^7"])
 def test_eval_m_rule_arithmetic_failure_is_a_parameter_error(expr):
     with pytest.raises(ParameterError, match="cannot evaluate"):
         eval_m_rule(expr, n=10, l=0)
@@ -79,18 +80,6 @@ def test_generate_is_deterministic_per_seed(tmp_path):
     xa = (tmp_path / "a.xor").read_bytes()
     assert xa == (tmp_path / "b.xor").read_bytes()
     assert xa != (tmp_path / "c.xor").read_bytes()
-
-
-def test_seed_env_var_overrides_flag(tmp_path, monkeypatch):
-    a = str(tmp_path / "a")
-    b = str(tmp_path / "b")
-    monkeypatch.setenv("RPCSP_SEED", "99")
-    _run(["generate", "xor", "--n", "12", "--k", "2", "--m", "30",
-          "--eps", "0.5", "--seed", "1", "--out", a])
-    monkeypatch.delenv("RPCSP_SEED")
-    _run(["generate", "xor", "--n", "12", "--k", "2", "--m", "30",
-          "--eps", "0.5", "--seed", "99", "--out", b])
-    assert (tmp_path / "a.xor").read_bytes() == (tmp_path / "b.xor").read_bytes()
 
 
 def test_generate_csp_uniform_plant(tmp_path):
@@ -246,8 +235,8 @@ def test_fourier_command_reports_fallback(tmp_path, capsys):
 def test_sweep_writes_csv_grid(tmp_path):
     out = str(tmp_path / "grid.csv")
     code = _run(["sweep", "--k", "1", "--n-list", "20,30",
-                 "--eps-list", "0.3,0.5", "--m-rule", "C*eps^-2*n*log(n)",
-                 "--constant", "30", "--backend", "brute", "--trials", "2",
+                 "--eps-list", "0.3,0.5", "--m-rule", "30*eps^-2*n*log(n)",
+                 "--backend", "brute", "--trials", "2",
                  "--seed", "1", "--jobs", "1", "--out", out])
     assert code == 0
     lines = (tmp_path / "grid.csv").read_text().splitlines()
@@ -274,6 +263,50 @@ def test_sweep_parallel_matches_serial(tmp_path):
         return [",".join(ln.strip().split(",")[:-1]) for ln in rows]
 
     assert stable(serial) == stable(parallel)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_records_a_failed_trial_and_keeps_the_others(tmp_path, jobs):
+    # At 14 Lanczos steps every n = 10 trial converges and two of three n = 30 trials do not.
+    out = tmp_path / "grid.csv"
+    code = _run(["sweep", "--k", "2", "--n-list", "10,30", "--eps-list", "0.2",
+                 "--m-rule", "2000", "--backend", "kikuchi_spectral", "--iters", "14",
+                 "--trials", "3", "--seed", "5", "--jobs", jobs, "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith(f"# {SWEEP_SCHEMA} ") and SWEEP_SCHEMA == "rpcsp-sweep-v2"
+    header, *rows = lines[1:]
+    cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [(c["n"], c["failures"], c["exact_recoveries"], c["mean_stage1_corr"])
+            for c in cells] == [("10", "0", "3", "1.000000"), ("30", "2", "1", "1.000000")]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--n-list", "a"), ("--eps-list", "x"), ("--n-list", "12,12"), ("--eps-list", "0.5,0.50"),
+])
+def test_sweep_rejects_a_bad_or_repeated_grid_value_before_any_trial(
+        tmp_path, capsys, monkeypatch, flag, value):
+    def no_trial(task):
+        raise AssertionError("a trial ran before the grid was checked")
+
+    monkeypatch.setattr("rpcsp.cli._sweep_trial", no_trial)
+    grid = {"--n-list": "12", "--eps-list": "0.5", flag: value}
+    code = _run(["sweep", "--k", "2", "--n-list", grid["--n-list"],
+                 "--eps-list", grid["--eps-list"], "--m-rule", "200", "--backend", "brute",
+                 "--trials", "2", "--out", str(tmp_path / "w.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_with_an_overflowing_m_rule_exits_one(tmp_path, capsys):
+    code = _run(["sweep", "--k", "2", "--n-list", "12", "--eps-list", "0.5",
+                 "--m-rule", "10^4400", "--backend", "brute", "--trials", "1",
+                 "--out", str(tmp_path / "w.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cannot evaluate" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("k, level", [(4, 2), (3, 3)])
@@ -364,16 +397,28 @@ def test_unindexable_clause_count_exits_one_without_traceback(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_brute_cap_above_ceiling_exits_one(tmp_path, capsys):
+def test_brute_cap_above_ceiling_exits_one(tmp_path, capsys, monkeypatch):
     gen = str(tmp_path / "g")
     _run(["generate", "xor", "--n", "10", "--k", "2", "--m", "20",
           "--eps", "0.5", "--seed", "1", "--out", gen])
     capsys.readouterr()
+    monkeypatch.setattr("rpcsp.approx_recovery.BRUTE_MAX_N", 9)
     code = _run(["solve", "--in", gen + ".xor", "--backend", "brute",
-                 "--cap", "27", "--seed", "1", "--out", str(tmp_path / "o")])
+                 "--seed", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "1..26" in err
+    assert "Traceback" not in err and "n <= 9" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("flag", ["--rank", "--cap", "--constant"])
+def test_removed_options_exit_one(tmp_path, capsys, command, flag):
+    argv = {"solve": ["solve", "--in", str(tmp_path / "g.xor")],
+            "sweep": ["sweep", "--k", "2", "--n-list", "10", "--eps-list", "0.5",
+                      "--m-rule", "200", "--trials", "1"]}[command]
+    assert _run(argv + ["--backend", "brute", flag, "3", "--out", str(tmp_path / "o")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("backend", ["sdp_basic", "kikuchi_spectral"])
@@ -391,6 +436,25 @@ def test_level_zero_exits_one_for_solve_and_sweep(tmp_path, capsys, backend):
     assert "Traceback" not in err and err.count("ell must be >= 1") == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "refute", "fourier", "generate", "sweep"])
+def test_directory_path_exits_two_with_one_line(tmp_path, capsys, command):
+    d = tmp_path / "d"
+    d.mkdir()
+    argv = {
+        "solve": ["solve", "--in", str(d), "--backend", "brute", "--out", str(tmp_path / "o")],
+        "refute": ["refute", "--in", str(d), "--ell", "1"],
+        "fourier": ["fourier", "--plant", str(d)],
+        "generate": ["generate", "xor", "--n", "10", "--k", "2", "--m", "20", "--eps", "0.5",
+                     "--planted", str(d), "--out", str(tmp_path / "o")],
+        "sweep": ["sweep", "--k", "1", "--n-list", "10", "--eps-list", "0.5",
+                  "--m-rule", "200", "--backend", "brute", "--trials", "1", "--out", str(d)],
+    }[command]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]  # no output, no stray d.tmp
+
+
 def test_unknown_flag_exits_one():
     assert _run(["generate", "xor", "--frobnicate"]) == 1
 
@@ -400,8 +464,8 @@ def test_resource_limit_exits_three(tmp_path):
     _run(["generate", "xor", "--n", "40", "--k", "4", "--m", "200",
           "--eps", "0.5", "--seed", "1", "--out", gen])
     code = _run(["solve", "--in", gen + ".xor", "--backend", "brute",
-                 "--cap", "20", "--seed", "1", "--out", str(tmp_path / "o")])
-    assert code == 1  # unsupported configuration is a usage error
+                 "--seed", "1", "--out", str(tmp_path / "o")])
+    assert code == 1  # n = 40 over the brute cap: unsupported configuration is a usage error
     code = _run(["refute", "--in", gen + ".xor", "--ell", "25",
                  "--seed", "1", "--out", str(tmp_path / "o")])
     assert code == 3  # vertex table over the cap

@@ -1,5 +1,4 @@
 """Tests for assignments, samplers, predicates, plantings, and file formats."""
-import re
 import warnings
 from unittest import mock
 
@@ -40,6 +39,7 @@ from rpcsp.instances import (
     _all_pm1,
     _format_rows,
     all_patterns,
+    atomic_write_text,
     csp_values,
     pattern_index,
     read_assignment,
@@ -295,7 +295,7 @@ def test_samplers_reject_an_unindexable_clause_count_before_drawing(monkeypatch)
     x = np.ones(10, dtype=np.int8)
     pred = CspPredicate.k_xor(2)
     q = PlantingDistribution.uniform_satisfying(pred)
-    for m in (10 ** 30, 2 ** 62):
+    for m in (10 ** 30, 2 ** 62, 10 ** 5000):  # the last has too many digits to format
         with pytest.raises(ParameterError, match="scope array"):
             sample_planted_xor(x, m, 2, 0.5, 0)
         with pytest.raises(ParameterError, match="scope array"):
@@ -482,6 +482,13 @@ def test_assignment_round_trip(tmp_path):
     assert np.array_equal(read_assignment(path), x)
 
 
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # A failed rename is covered by test_cli's sweep --out DIR case.
+    with pytest.raises(TypeError):
+        atomic_write_text(str(tmp_path / "a.txt"), 5)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_xor_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.xor"
     bad.write_text("xor 5 1 2\n+1 1\n")  # clause line too short
@@ -642,34 +649,14 @@ _BODIES = st.one_of(
 
 
 _REAL_FROMSTRING = np.fromstring
-_INT_PREFIX = re.compile(rb"[+-]?[0-9]+")
-
-
-def _numpy1_fromstring(text, dtype, sep):
-    """np.fromstring as NumPy 1.x runs it: where 2.x raises on unmatched
-    data, 1.x warns and returns the values read before it."""
-    try:
-        return _REAL_FROMSTRING(text, dtype=dtype, sep=sep)
-    except ValueError:
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
-    values = []
-    for token in text.split():
-        match = _INT_PREFIX.match(token)
-        if match:  # saturating at the int64 limits, as fromstring does
-            values.append(min(max(int(match.group()), int(_INT64.min)), int(_INT64.max)))
-        if match is None or match.end() < len(token):
-            break
-    return np.array(values, dtype=dtype)
 
 
 def _assert_matches_oracle(kind, body, path):
-    """The reader agrees with the split()/int() oracle, on this NumPy and as
-    NumPy 1.x would parse, and lets no warning out."""
+    """The reader agrees with the split()/int() oracle and lets no warning out."""
     content = body if kind == "assign" else _headed(kind, body)
     new, old = _READERS[kind]
     expected = _outcome(old, content, path)
-    assert _outcome(new, content, path) == expected
-    with mock.patch.object(np, "fromstring", _numpy1_fromstring), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _outcome(new, content, path) == expected
 
@@ -685,11 +672,11 @@ def test_readers_match_split_int_oracle(codec_path, kind, body):
     "+1 + 1 2",  # a bare sign merges with the next token in np.fromstring
     " \n\t \n",  # all whitespace parses as [0] in np.fromstring
     "+1 99999999999999999999",  # overflow saturates in np.fromstring
-    " 99999999999999999999 + +1",  # and saturates in the NumPy 1.x emulation too
+    " 99999999999999999999 + +1",
     "+1 1.5",
     "--1 1",
     "+1 1 -",
-    "+1 1-2",  # NumPy 1.x returns [1, 1] and a warning
+    "+1 1-2",
     "+1 1x",
     "+1 3 -1 9",
 ])
@@ -725,10 +712,9 @@ def test_grammar_rejects_tokens_int_accepts(codec_path, token):
 
 
 def test_partial_parse_is_rejected_without_warning(tmp_path):
-    """A fromstring that warns and stops early, as NumPy 1.x does on
-    unmatched data, yields a FormatError and no warning."""
+    """A fromstring that stops early is caught by the token count: a
+    FormatError and no warning."""
     def truncating_fromstring(text, dtype, sep):
-        warnings.warn("string or file could not be read to its end", DeprecationWarning)
         return _REAL_FROMSTRING(text, dtype=dtype, sep=sep)[:-1]
 
     x = random_assignment(8, 1)
