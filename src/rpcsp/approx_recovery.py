@@ -143,9 +143,14 @@ def _brute_scan(inst: XorInstance) -> np.ndarray:
     return walsh_hadamard(table)
 
 
+def check_brute_n(n: int):
+    """UnsupportedConfigError if the brute backend cannot take n variables."""
+    if n > BRUTE_MAX_N:
+        raise UnsupportedConfigError(f"brute backend capped at n <= {BRUTE_MAX_N}, got n={n}")
+
+
 def _brute_backend(inst: XorInstance) -> PseudoExpectation:
-    if inst.n > BRUTE_MAX_N:
-        raise UnsupportedConfigError(f"brute backend capped at n <= {BRUTE_MAX_N}, got n={inst.n}")
+    check_brute_n(inst.n)
     table = _brute_scan(inst)
     best = int(table.max())
     # Moments of the uniform distribution over the argmax set are the Walsh

@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .approx_recovery import BackendChoice
+from .approx_recovery import BACKEND_KINDS, BackendChoice, check_brute_n
 from .errors import (
     ConvergenceError,
     FormatError,
@@ -31,6 +31,7 @@ from .instances import (
     CspPredicate,
     PlantingDistribution,
     atomic_write_text,
+    check_eps,
     corr,
     random_assignment,
     read_assignment,
@@ -42,9 +43,9 @@ from .instances import (
     write_csp,
     write_xor,
 )
-from .kikuchi import build_kikuchi, certificate_report, check_certificate, write_kikuchi_dump
+from .kikuchi import CERT_TOL, refute_report
 from .rng import cell_seed, check_seed
-from .solver import default_ell, solve_csp, solve_xor
+from .solver import check_lift_level, default_ell, solve_csp, solve_xor
 
 MANIFEST_SCHEMA = "rpcsp-manifest-v1"
 SWEEP_SCHEMA = "rpcsp-sweep-v2"
@@ -231,22 +232,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_refute(args) -> int:
-    if args.dump_matrix and not args.out:
-        raise ParameterError("--dump-matrix writes <out>.kik and needs --out")
     seed = check_seed(args.seed)
     inst = _read_instance(args.infile)
     if hasattr(inst, "predicate"):
         raise ParameterError("refute expects an XOR instance")
-    check_certificate(inst.n, args.ell, args.tol)
-    kik = build_kikuchi(inst, args.ell)
-    rep = certificate_report(kik, tol=args.tol, seed=seed)
+    rep = refute_report(inst, args.ell, seed=seed)
     payload = {"command": "refute", **asdict(rep),
-               "infile": args.infile, "ell": args.ell, "tol": args.tol, "seed": seed}
+               "infile": args.infile, "ell": args.ell, "tol": CERT_TOL, "seed": seed}
     print(json.dumps(_jsonable(payload), sort_keys=True))
     if args.out:
         _write_json(args.out + ".refute.json", payload)
-        if args.dump_matrix:
-            write_kikuchi_dump(kik, args.out + ".kik")
     return 0
 
 
@@ -270,8 +265,8 @@ def _sweep_trial(task: tuple) -> dict:
     return row
 
 
-def _grid(text: str, kind, flag: str) -> list:
-    """The comma-separated values of a sweep grid flag, each once."""
+def _grid(text: str, kind, flag: str, check) -> list:
+    """The comma-separated values of a sweep grid flag, each once and each passing check."""
     try:
         values = [kind(t) for t in text.split(",") if t]
     except ValueError as e:
@@ -280,19 +275,36 @@ def _grid(text: str, kind, flag: str) -> list:
         raise ParameterError(f"{flag} needs at least one value")
     if len(set(values)) != len(values):
         raise ParameterError(f"{flag} repeats a value: {text!r}")
+    for v in values:
+        try:
+            check(v)
+        except (ParameterError, UnsupportedConfigError) as e:
+            raise ParameterError(f"{flag} {v}: {e}") from e
     return values
 
 
 def _cmd_sweep(args) -> int:
     seed = check_seed(args.seed)
-    n_list = _grid(args.n_list, int, "--n-list")
-    eps_list = _grid(args.eps_list, float, "--eps-list")
+    ell = args.ell if args.ell is not None else default_ell(args.k)
+    if args.ell is not None and args.ell < 1:
+        raise ParameterError("ell must be >= 1")
+
+    def check_n(n):
+        # What the trials at n would raise; arity 1 runs no backend.
+        if not 1 <= args.k <= n:
+            raise ParameterError("need 1 <= k <= n")
+        if args.k >= 2 and args.backend == "brute":
+            check_brute_n(n)
+        if args.k >= 2 and args.backend == "kikuchi_spectral":
+            check_lift_level(n, args.k, ell, f"arity-{args.k} XOR")
+
+    n_list = _grid(args.n_list, int, "--n-list", check_n)
+    eps_list = _grid(args.eps_list, float, "--eps-list", check_eps)
     if args.trials < 1:
         raise ParameterError("trials must be >= 1")
     if args.jobs < 1:
         raise ParameterError("jobs must be >= 1")
     backend = _backend_from_args(args)
-    ell = args.ell if args.ell is not None else default_ell(args.k)
     tasks = []
     for n in n_list:
         for eps in eps_list:
@@ -375,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="recover an assignment")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--backend", choices=["brute", "sdp_basic", "kikuchi_spectral"],
-                   required=True)
+    s.add_argument("--backend", choices=BACKEND_KINDS, required=True)
     s.add_argument("--ell", type=int)
     s.add_argument("--iters", type=int, default=200)
     s.add_argument("--seed", type=int, default=0)
@@ -387,10 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("refute", help="spectral refutation certificate")
     r.add_argument("--in", dest="infile", required=True)
     r.add_argument("--ell", type=int, required=True)
-    r.add_argument("--tol", type=float, default=1e-3)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out")
-    r.add_argument("--dump-matrix", action="store_true")
 
     w = sub.add_parser("sweep", help="recovery grid over n and eps")
     w.add_argument("--k", type=int, required=True)
@@ -400,8 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expression in n, k, eps, l, e.g. '40*n*log(n)/eps^2'")
     w.add_argument("--ell", type=int, help="Kikuchi level and the l of --m-rule; "
                    "default k/2 for even k and k for odd k, as in solve_xor")
-    w.add_argument("--backend", choices=["brute", "sdp_basic", "kikuchi_spectral"],
-                   required=True)
+    w.add_argument("--backend", choices=BACKEND_KINDS, required=True)
     w.add_argument("--iters", type=int, default=200)
     w.add_argument("--trials", type=int, default=10)
     w.add_argument("--seed", type=int, default=0)

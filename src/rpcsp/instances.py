@@ -182,6 +182,12 @@ def _check_clause_count(m: int, k: int):
             f"more than {most} clauses of arity {k} exceed the largest scope array")
 
 
+def check_eps(eps: float):
+    """ParameterError unless eps, the planted bias of sample_planted_xor, lies in (0, 1/2]."""
+    if not (0.0 < eps <= 0.5):
+        raise ParameterError("eps must lie in (0, 1/2]")
+
+
 def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int) -> XorInstance:
     """Planted noisy k-XOR.
 
@@ -197,8 +203,7 @@ def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int
     if not (1 <= k <= n):
         raise ParameterError("need 1 <= k <= n")
     _check_clause_count(m, k)
-    if not (0.0 < eps <= 0.5):
-        raise ParameterError("eps must lie in (0, 1/2]")
+    check_eps(eps)
     seed = check_seed(seed)
     scopes = derived_rng(seed, STREAM_SCOPES).integers(1, n + 1, size=(m, k), dtype=np.int64)
     u = derived_rng(seed, STREAM_NOISE).random(m)
@@ -492,11 +497,6 @@ def _atomic_open(path: str, mode: str = "w"):
 def atomic_write_text(path: str, text: str):
     with _atomic_open(path) as f:
         f.write(text)
-
-
-def atomic_write_bytes(path: str, data: bytes):
-    with _atomic_open(path, "wb") as f:
-        f.write(data)
 
 
 def _format_rows(rows: np.ndarray, signed) -> bytes:

@@ -40,16 +40,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import (
-    FormatError,
-    ParameterError,
-    ResourceLimitError,
-    UnsupportedConfigError,
-)
-from .instances import Assignment, XorInstance, atomic_write_bytes, clean, validate_assignment
+from .errors import ParameterError, ResourceLimitError, UnsupportedConfigError
+from .instances import Assignment, XorInstance, clean, validate_assignment
 from .rng import STREAM_SPECTRAL, check_seed, derived_rng
 
-# The most vertices, C(n, l), that build_kikuchi and read_kikuchi_dump accept.
+# The most vertices, C(n, l), that build_kikuchi accepts.
 # It is below 2^31, so every vertex rank fits the int32 indices CSR keeps.
 DEFAULT_VERTEX_CAP = 5_000_000
 # build_kikuchi peaks at about 18 traced bytes per stored entry and returns
@@ -58,7 +53,9 @@ DEFAULT_ENTRY_CAP = 50_000_000
 # Bytes of _lanczos's steps x dim float64 basis: 2^30 admits 200 steps (the
 # kikuchi_spectral default) to 671,088 vertices, the certificate to 571,139.
 DEFAULT_BASIS_BYTES = 1 << 30
-# Chance, over the random Lanczos start, that spectral_norm misses accuracy tol.
+# Relative accuracy of spectral_norm's estimate of ||A||, and the chance, over
+# the random Lanczos start, that it misses it: the two fix the step count.
+CERT_TOL = 1e-3
 FAILURE_PROB = 1e-6
 # A residual-stopped _lanczos run tests its Ritz residual every this many steps.
 RITZ_STRIDE = 4
@@ -303,51 +300,35 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
     return float(theta[0]), q.T @ s[:, 0], j + 1, residual
 
 
-def _certificate_steps(dim: int, tol: float) -> int:
-    """Lanczos steps on A^2 for accuracy tol on dim vertices; see spectral_norm.
+def _certificate_steps(dim: int) -> int:
+    """Lanczos steps on A^2 for accuracy CERT_TOL on dim vertices; see spectral_norm.
 
-    Raises ParameterError for a tol outside (1e-8, 0.5) and ResourceLimitError
-    for a basis over DEFAULT_BASIS_BYTES.
+    Raises ResourceLimitError for a basis over DEFAULT_BASIS_BYTES.
     """
-    if not (1e-8 < tol < 0.5):
-        raise ParameterError("tol must lie in (1e-8, 0.5)")
-    eps = tol * (2.0 - tol)
+    eps = CERT_TOL * (2.0 - CERT_TOL)
     steps = ceil((log(1.648 * sqrt(dim) / FAILURE_PROB) / sqrt(eps) + 1) / 2)
     _basis_rows(steps, dim)
     return steps
 
 
-def check_certificate(n: int, ell: int, tol: float):
-    """Raise, before any build, what the level-ell certificate would reject after it.
-
-    The tol range and the Lanczos basis cap depend only on C(n, ell) and tol.
-    """
-    _certificate_steps(_vertex_count(n, ell), tol)
-
-
-def _certificate_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float, seed: int):
-    """(||A|| estimate, Lanczos steps, residual on A^2); see spectral_norm."""
-    a = kik.matrix if isinstance(kik, KikuchiMatrix) else kik.tocsr().astype(np.float64, copy=False)
-    dim = a.shape[0]
-    steps = _certificate_steps(dim, tol)
-    v0 = derived_rng(check_seed(seed), STREAM_SPECTRAL).standard_normal(dim)
-    theta, _, taken, residual = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
-    return sqrt(max(theta, 0.0)), taken, residual
-
-
-def spectral_norm(kik: KikuchiMatrix | sp.spmatrix, tol: float = 1e-3, seed: int = 0) -> float:
-    """||A|| to relative accuracy tol, except with probability FAILURE_PROB.
+def spectral_norm(a: sp.spmatrix, seed: int = 0):
+    """(||A|| estimate, Lanczos steps, residual on A^2) to relative accuracy CERT_TOL.
 
     Runs _lanczos on A^2 from a Gaussian start for a step count fixed in
     advance. By Kuczynski and Wozniakowski (SIAM J. Matrix Anal. Appl. 13(4),
     1992), after j steps on a PSD matrix of order N the top Ritz value lies
     below (1 - eps) times the top eigenvalue with probability at most
-    1.648 sqrt(N) exp(-sqrt(eps) (2j - 1)). With eps = tol (2 - tol) the
-    returned sqrt(theta) is at least (1 - tol) ||A||; a Ritz value never
-    exceeds the top eigenvalue. So with probability at least 1 - FAILURE_PROB
-    the estimate lies in [(1 - tol) ||A||, ||A||] and estimate / (1 - tol) >= ||A||.
+    1.648 sqrt(N) exp(-sqrt(eps) (2j - 1)). With tol = CERT_TOL and
+    eps = tol (2 - tol) the returned sqrt(theta) is at least (1 - tol) ||A||;
+    a Ritz value never exceeds the top eigenvalue. So with probability at
+    least 1 - FAILURE_PROB the estimate lies in [(1 - tol) ||A||, ||A||] and
+    estimate / (1 - tol) >= ||A||.
     """
-    return _certificate_norm(kik, tol, seed)[0]
+    dim = a.shape[0]
+    steps = _certificate_steps(dim)
+    v0 = derived_rng(check_seed(seed), STREAM_SPECTRAL).standard_normal(dim)
+    theta, _, taken, residual = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
+    return sqrt(max(theta, 0.0)), taken, residual
 
 
 @dataclass
@@ -366,15 +347,19 @@ class RefutationReport:
     residual: float
 
 
-def certificate_report(kik: KikuchiMatrix, tol: float = 1e-3, seed: int = 0) -> RefutationReport:
-    """The certificate of a built matrix over its m = used + dropped clauses."""
-    m = kik.used_clauses + kik.dropped_clauses
-    if m == 0:
+def refute_report(inst: XorInstance, ell: int, seed: int = 0) -> RefutationReport:
+    """The level-ell certificate of inst over its m = used + dropped clauses.
+
+    The Lanczos basis cap depends only on C(n, ell), so it is checked before the build.
+    """
+    if inst.m == 0:
         raise ParameterError("cannot certify an empty instance")
-    lam, steps, residual = _certificate_norm(kik, tol, seed)
-    # lam / (1 - tol) upper-bounds ||A|| except with probability FAILURE_PROB.
-    dropped_frac = kik.dropped_clauses / m
-    delta = (lam / (1.0 - tol)) * kik.num_vertices / (m * kik.pairs_per_clause) + dropped_frac
+    _certificate_steps(_vertex_count(inst.n, ell))
+    kik = build_kikuchi(inst, ell)
+    lam, steps, residual = spectral_norm(kik.matrix, seed)
+    # lam / (1 - CERT_TOL) upper-bounds ||A|| except with probability FAILURE_PROB.
+    delta = ((lam / (1.0 - CERT_TOL)) * kik.num_vertices / (inst.m * kik.pairs_per_clause)
+             + kik.dropped_clauses / inst.m)
     return RefutationReport(
         delta_hat=float(delta),
         spectral_estimate=float(lam),
@@ -389,61 +374,6 @@ def certificate_report(kik: KikuchiMatrix, tol: float = 1e-3, seed: int = 0) -> 
     )
 
 
-def refute_report(inst: XorInstance, ell: int, tol: float = 1e-3,
-                  seed: int = 0) -> RefutationReport:
-    check_certificate(inst.n, ell, tol)
-    return certificate_report(build_kikuchi(inst, ell), tol, seed)
-
-
-def refutation_certificate(inst: XorInstance, ell: int, tol: float = 1e-3, seed: int = 0) -> float:
+def refutation_certificate(inst: XorInstance, ell: int, seed: int = 0) -> float:
     """Upper bound on max_x of the mean signed clause value, except w.p. FAILURE_PROB."""
-    return refute_report(inst, ell, tol=tol, seed=seed).delta_hat
-
-
-# ---------------------------------------------------------------------------
-# binary dump
-
-_TRIPLE = np.dtype([("row", "<i8"), ("col", "<i8"), ("val", "<i4")])
-
-
-def write_kikuchi_dump(kik: KikuchiMatrix, path: str):
-    coo = kik.matrix.tocoo()
-    if coo.data.size and np.abs(coo.data).max() > np.iinfo(np.int32).max:
-        raise ParameterError("entry magnitude exceeds the 32-bit dump format")
-    out = np.empty(coo.nnz, dtype=_TRIPLE)
-    out["row"] = coo.row
-    out["col"] = coo.col
-    out["val"] = coo.data.astype(np.int32)
-    header = f"kik {kik.n} {kik.ell} {coo.nnz}\n".encode()
-    atomic_write_bytes(path, header + out.tobytes())
-
-
-def read_kikuchi_dump(path: str) -> tuple[int, int, sp.csr_matrix]:
-    """Returns (n, ell, matrix), as float64 CSR like build_kikuchi's; arity is not recorded.
-
-    A header with more than DEFAULT_VERTEX_CAP vertices raises
-    ResourceLimitError, as build_kikuchi does.
-    """
-    with open(path, "rb") as f:
-        header = f.readline().split()
-        body = f.read()
-    if len(header) != 4 or header[0] != b"kik":
-        raise FormatError("expected header 'kik <n> <ell> <nnz>'")
-    try:
-        n, ell, nnz = (int(t) for t in header[1:])
-    except ValueError as e:
-        raise FormatError("bad kik header") from e
-    if not (1 <= ell <= n and nnz >= 0):
-        raise FormatError("kik header needs 1 <= ell <= n and nnz >= 0")
-    dim = _vertex_count(n, ell)  # before any array is built
-    if len(body) != nnz * _TRIPLE.itemsize:
-        raise FormatError(f"expected {nnz} triples, found {len(body)} bytes")
-    triples = np.frombuffer(body, dtype=_TRIPLE)
-    if nnz and (triples["row"].min() < 0 or triples["row"].max() >= dim
-                or triples["col"].min() < 0 or triples["col"].max() >= dim):
-        raise FormatError("vertex rank out of range")
-    mat = sp.coo_matrix(
-        (triples["val"].astype(np.float64), (triples["row"], triples["col"])),
-        shape=(dim, dim),
-    ).tocsr()
-    return n, ell, mat
+    return refute_report(inst, ell, seed=seed).delta_hat

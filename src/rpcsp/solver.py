@@ -91,6 +91,20 @@ def default_ell(k: int) -> int:
     return k // 2 if k % 2 == 0 else k
 
 
+def check_lift_level(n: int, k: int, ell: int, what: str):
+    """ParameterError unless kikuchi_spectral's stage 1 of an arity-k solve takes level ell.
+
+    That stage lifts the clauses at arity k, or at 2k once they are paired
+    when k is odd. what names the solve in the message.
+    """
+    lift_k = 2 * k if k % 2 else k
+    try:
+        check_level(n, lift_k, ell)
+    except ParameterError as e:
+        how = f"paired to arity {lift_k}" if k % 2 else "unpaired"
+        raise ParameterError(f"{what} is {how}: {e}") from e
+
+
 def _slice(inst: XorInstance, lo: int, hi: int) -> XorInstance:
     return XorInstance(inst.n, inst.k, inst.scopes[lo:hi], inst.rhs[lo:hi])
 
@@ -187,6 +201,8 @@ def solve_csp(
     seed = check_seed(seed)
     if planted is not None:
         planted = validate_assignment(planted, psi.n)
+    if q is not None and q.k != psi.k:
+        raise ParameterError(f"the planting has arity {q.k} but the CSP has arity {psi.k}")
     k = psi.k
     stats: dict = {"n": psi.n, "k": k, "m": psi.m, "backend": backend.kind}
     candidates: list[Assignment] = []
@@ -196,14 +212,9 @@ def solve_csp(
         best_val, best = 1.0, np.ones(psi.n, dtype=np.int8)
     else:
         if backend.kind == "kikuchi_spectral" and ell is not None and k >= 2:
-            # ell reaches only the full side, lifted at arity 2k when k is odd;
-            # a level that side cannot take fails here, before any side runs.
-            lift_k = 2 * k if k % 2 else k
-            try:
-                check_level(psi.n, lift_k, ell)
-            except ParameterError as e:
-                how = f"paired to arity {lift_k}" if k % 2 else "unpaired"
-                raise ParameterError(f"the full side of this arity-{k} CSP is {how}: {e}") from e
+            # ell reaches only the full side; a level that side cannot take
+            # fails here, before any side runs.
+            check_lift_level(psi.n, k, ell, f"the full side of this arity-{k} CSP")
         tasks = [(s, sign) for s in subsets_by_size(k) for sign in (1, -1)]
         if q is not None:
             r, witness = distribution_complexity(q)
@@ -214,6 +225,9 @@ def solve_csp(
                 first = (tuple(sorted(witness)), 1 if coeff >= 0 else -1)
                 tasks = [first] + [t for t in tasks if t != first]
 
+        # Imported here, not at the top: perfbench charges reduction.side_s by
+        # wrapping rpcsp.reduction.build_xor_side, and a top-level import would
+        # bind the unwrapped function and silently zero that layer.
         from .reduction import build_xor_side
 
         # At most 2(2^k - 1) tasks of two candidates each: fewer than 2^(k+2).

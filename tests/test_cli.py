@@ -20,7 +20,7 @@ from rpcsp import (
 from rpcsp.cli import MANIFEST_SCHEMA, SWEEP_SCHEMA, cli_main, eval_m_rule
 from rpcsp.fourier import write_planting
 from rpcsp.instances import read_assignment, read_csp, read_xor, write_xor
-from rpcsp.kikuchi import build_kikuchi, read_kikuchi_dump
+from rpcsp.kikuchi import CERT_TOL, build_kikuchi
 
 
 def _run(argv):
@@ -141,31 +141,49 @@ def test_solve_csp_with_plant_fast_path(tmp_path):
     assert report["stats"]["fast_path"] is True
 
 
+@pytest.mark.parametrize("plant_k", [2, 4])
+def test_solve_csp_rejects_a_planting_of_another_arity(tmp_path, capsys, monkeypatch, plant_k):
+    gen = str(tmp_path / "g")
+    _run(["generate", "csp", "--n", "30", "--m", "4000", "--predicate", "xor:3",
+          "--seed", "1", "--out", gen])
+    plant = str(tmp_path / f"k{plant_k}.plant")
+    write_planting(PlantingDistribution.uniform_satisfying(CspPredicate.k_xor(plant_k)), plant)
+    capsys.readouterr()
+
+    def no_side(*args):
+        raise AssertionError("a side ran before the planting was checked")
+
+    monkeypatch.setattr("rpcsp.reduction.build_xor_side", no_side)
+    code = _run(["solve", "--in", gen + ".csp", "--backend", "kikuchi_spectral",
+                 "--plant", plant, "--out", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"arity {plant_k}" in err and "arity 3" in err
+    assert not (tmp_path / "s.report.json").exists()
+
+
 # ---------------------------------------------------------------------- refute
 
-def test_refute_prints_json_and_dumps_matrix(tmp_path, capsys):
+def test_refute_prints_json_and_writes_it(tmp_path, capsys):
     gen = str(tmp_path / "g")
     _run(["generate", "xor", "--n", "20", "--k", "4", "--m", "600",
           "--eps", "0.5", "--seed", "7", "--out", gen])
     capsys.readouterr()
     out = str(tmp_path / "r")
-    code = _run(["refute", "--in", gen + ".xor", "--ell", "2",
-                 "--seed", "7", "--out", out, "--dump-matrix"])
+    code = _run(["refute", "--in", gen + ".xor", "--ell", "2", "--seed", "7", "--out", out])
     assert code == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["delta_hat"] > 0
     assert printed["failure_prob"] == 1e-6
+    assert printed["tol"] == CERT_TOL == 1e-3
     assert 1 <= printed["lanczos_steps"] <= math.comb(20, 2)
     assert printed["residual"] >= 0
+    assert printed["nnz"] == build_kikuchi(read_xor(gen + ".xor"), 2).matrix.nnz
     on_disk = json.loads((tmp_path / "r.refute.json").read_text())
     assert on_disk == printed
-    n, ell, mat = read_kikuchi_dump(out + ".kik")
-    assert (n, ell) == (20, 2)
-    assert mat.nnz == on_disk["nnz"]
 
 
-def test_refute_dump_matrix_builds_once_and_dumps_what_a_fresh_build_gives(
-        tmp_path, monkeypatch):
+def test_refute_builds_the_matrix_once(tmp_path, monkeypatch):
     gen, out = str(tmp_path / "g"), str(tmp_path / "r")
     _run(["generate", "xor", "--n", "14", "--k", "4", "--m", "500",
           "--eps", "0.3", "--seed", "3", "--out", gen])
@@ -175,19 +193,13 @@ def test_refute_dump_matrix_builds_once_and_dumps_what_a_fresh_build_gives(
         builds.append(ell)
         return build_kikuchi(inst, ell)
 
-    monkeypatch.setattr("rpcsp.cli.build_kikuchi", counting_build)
     monkeypatch.setattr("rpcsp.kikuchi.build_kikuchi", counting_build)
     assert _run(["refute", "--in", gen + ".xor", "--ell", "3",
-                 "--seed", "3", "--out", out, "--dump-matrix"]) == 0
+                 "--seed", "3", "--out", out]) == 0
     assert builds == [3]
-    _, _, got = read_kikuchi_dump(out + ".kik")
-    want = build_kikuchi(read_xor(gen + ".xor"), 3).matrix
-    for name in ("indptr", "indices", "data"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
-def test_refute_checks_tol_and_the_basis_cap_before_it_builds(tmp_path, monkeypatch):
+def test_refute_checks_the_basis_cap_before_it_builds(tmp_path, monkeypatch):
     # Random-sign 4-XOR at n = 70 and ell = 4: 916,895 vertices, a 1.75 GB basis.
     rng = np.random.default_rng(5)
     path = str(tmp_path / "big.xor")
@@ -196,17 +208,8 @@ def test_refute_checks_tol_and_the_basis_cap_before_it_builds(tmp_path, monkeypa
     def no_build(*args):
         raise AssertionError("build_kikuchi ran before the checks")
 
-    monkeypatch.setattr("rpcsp.cli.build_kikuchi", no_build)
+    monkeypatch.setattr("rpcsp.kikuchi.build_kikuchi", no_build)
     assert _run(["refute", "--in", path, "--ell", "4"]) == 3
-    assert _run(["refute", "--in", path, "--ell", "4", "--tol", "0.7"]) == 1
-
-
-def test_refute_dump_matrix_needs_out(tmp_path, capsys):
-    # The input does not exist: the flag check comes before the instance is read.
-    code = _run(["refute", "--in", str(tmp_path / "missing.xor"), "--ell", "2", "--dump-matrix"])
-    assert code == 1
-    assert "--out" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------- fourier
@@ -281,19 +284,29 @@ def test_sweep_records_a_failed_trial_and_keeps_the_others(tmp_path, jobs):
             for c in cells] == [("10", "0", "3", "1.000000"), ("30", "2", "1", "1.000000")]
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--n-list", "a"), ("--eps-list", "x"), ("--n-list", "12,12"), ("--eps-list", "0.5,0.50"),
+@pytest.mark.parametrize("flag, value, more", [
+    pytest.param("--n-list", "a", {}, id="--n-list-a"),
+    pytest.param("--eps-list", "x", {}, id="--eps-list-x"),
+    pytest.param("--n-list", "12,12", {}, id="--n-list-12,12"),
+    pytest.param("--eps-list", "0.5,0.50", {}, id="--eps-list-0.5,0.50"),
+    # Grid values a trial would reject: over the brute cap, eps above 1/2, a
+    # level the n = 4 lift cannot take, and k > n.
+    pytest.param("--n-list", "12,30", {"--k": "3", "--eps-list": "0.3"}, id="brute-cap"),
+    pytest.param("--eps-list", "0.3,0.7", {"--k": "3"}, id="eps-range"),
+    pytest.param("--n-list", "12,4", {"--k": "4", "--ell": "3", "--m-rule": "300",
+                                      "--backend": "kikuchi_spectral"}, id="level"),
+    pytest.param("--n-list", "12,4", {"--k": "5"}, id="k-over-n"),
 ])
 def test_sweep_rejects_a_bad_or_repeated_grid_value_before_any_trial(
-        tmp_path, capsys, monkeypatch, flag, value):
+        tmp_path, capsys, monkeypatch, flag, value, more):
     def no_trial(task):
         raise AssertionError("a trial ran before the grid was checked")
 
     monkeypatch.setattr("rpcsp.cli._sweep_trial", no_trial)
-    grid = {"--n-list": "12", "--eps-list": "0.5", flag: value}
-    code = _run(["sweep", "--k", "2", "--n-list", grid["--n-list"],
-                 "--eps-list", grid["--eps-list"], "--m-rule", "200", "--backend", "brute",
-                 "--trials", "2", "--out", str(tmp_path / "w.csv")])
+    args = {"--k": "2", "--n-list": "12", "--eps-list": "0.5", "--m-rule": "200",
+            "--backend": "brute", "--trials": "2", **more, flag: value}
+    code = _run(["sweep", *(t for kv in args.items() for t in kv),
+                 "--out", str(tmp_path / "w.csv")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}") and "Traceback" not in err
@@ -410,13 +423,17 @@ def test_brute_cap_above_ceiling_exits_one(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err and "n <= 9" in err
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-@pytest.mark.parametrize("flag", ["--rank", "--cap", "--constant"])
+@pytest.mark.parametrize("flag, command", [
+    pytest.param(flag, command, id=f"{flag}-{command}")
+    for flag in ("--rank", "--cap", "--constant") for command in ("solve", "sweep")
+] + [("--tol", "refute"), ("--dump-matrix", "refute")])
 def test_removed_options_exit_one(tmp_path, capsys, command, flag):
-    argv = {"solve": ["solve", "--in", str(tmp_path / "g.xor")],
+    argv = {"solve": ["solve", "--in", str(tmp_path / "g.xor"), "--backend", "brute"],
             "sweep": ["sweep", "--k", "2", "--n-list", "10", "--eps-list", "0.5",
-                      "--m-rule", "200", "--trials", "1"]}[command]
-    assert _run(argv + ["--backend", "brute", flag, "3", "--out", str(tmp_path / "o")]) == 1
+                      "--m-rule", "200", "--trials", "1", "--backend", "brute"],
+            "refute": ["refute", "--in", str(tmp_path / "g.xor"), "--ell", "1"]}[command]
+    value = [] if flag == "--dump-matrix" else ["0.01" if flag == "--tol" else "3"]
+    assert _run(argv + [flag, *value, "--out", str(tmp_path / "o")]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 

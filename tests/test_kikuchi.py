@@ -17,7 +17,6 @@ from _oracles import (
 )
 from rpcsp import (
     BackendChoice,
-    FormatError,
     ParameterError,
     ResourceLimitError,
     UnsupportedConfigError,
@@ -31,17 +30,14 @@ from rpcsp import (
     spectral_norm,
 )
 from rpcsp.kikuchi import (
+    CERT_TOL,
     DEFAULT_BASIS_BYTES,
     DEFAULT_ENTRY_CAP,
     DEFAULT_VERTEX_CAP,
-    _TRIPLE,
     KikuchiMatrix,
     all_subsets,
-    certificate_report,
-    read_kikuchi_dump,
     refute_report,
     subset_rank,
-    write_kikuchi_dump,
     _comb_table,
     _union_rank,
 )
@@ -276,41 +272,35 @@ def test_pair_gram_matches_the_pairwise_oracle(data):
 
 # -------------------------------------------------------------------- spectrum
 
-def test_star_spectral_norm_is_sqrt_degree():
+def test_star_spectral_norm_is_sqrt_degree(monkeypatch):
     # 4 disjoint +1 edges sharing vertex 1 => star; largest eigenvalue sqrt(4)
+    monkeypatch.setattr("rpcsp.kikuchi.CERT_TOL", 1e-6)
     scopes = np.array([[1, j] for j in range(2, 6)], dtype=np.int64)
     inst = XorInstance(5, 2, scopes, np.ones(4, dtype=np.int8))
     kik = build_kikuchi(inst, 1)
-    est = spectral_norm(kik, tol=1e-6, seed=3)
+    est, _, _ = spectral_norm(kik.matrix, seed=3)
     assert est == pytest.approx(2.0, rel=1e-5)
 
 
-def test_power_iteration_matches_dense_eigensolver():
+def test_power_iteration_matches_dense_eigensolver(monkeypatch):
+    monkeypatch.setattr("rpcsp.kikuchi.CERT_TOL", 1e-4)
     for trial in range(8):
         seed = cell_seed(310, trial)
         k = 2 if trial % 2 == 0 else 4
         inst = _random_signs_instance(10 + trial % 4, 60, k, seed)
         kik = build_kikuchi(inst, k // 2)
         exact = np.max(np.abs(np.linalg.eigvalsh(kik.matrix.toarray())))
-        est = spectral_norm(kik, tol=1e-4, seed=seed)
+        est, _, _ = spectral_norm(kik.matrix, seed=seed)
         assert est <= exact + 1e-9 * max(1.0, exact)
         assert est >= (1 - 2e-4) * exact
-
-
-def test_spectral_norm_rejects_bad_tol():
-    inst = _random_signs_instance(8, 20, 2, 1)
-    kik = build_kikuchi(inst, 1)
-    with pytest.raises(ParameterError):
-        spectral_norm(kik, tol=0.7)
-    with pytest.raises(ParameterError):
-        spectral_norm(kik, tol=1e-9)
 
 
 def test_spectral_norm_bound_holds_when_the_top_of_the_spectrum_is_crowded():
     # One eigenvalue 1 above 1999 at 0.99: an estimate that stops once it
     # stalls reads about 0.991 here, below the norm even after the 1/(1 - tol).
     a = sp.diags([1.0] + [0.99] * 1999)
-    assert spectral_norm(a, tol=1e-3) / (1 - 1e-3) >= 1.0
+    assert CERT_TOL == 1e-3
+    assert spectral_norm(a)[0] / (1 - CERT_TOL) >= 1.0
 
 
 def test_spectral_solve_and_norm_multiply_the_built_matrix_without_a_copy(monkeypatch):
@@ -329,7 +319,7 @@ def test_spectral_solve_and_norm_multiply_the_built_matrix_without_a_copy(monkey
     solve_xor(inst, 3, BackendChoice.kikuchi_spectral(), 4)
     kik = build_kikuchi(inst, 3)
     assert kik.matrix.dtype == np.float64
-    spectral_norm(kik)
+    spectral_norm(kik.matrix)
     assert copies == []
     kik.matrix.astype(np.int32)  # the recorder sees a real copy
     assert copies == [(kik.matrix.shape, np.int32)]
@@ -353,13 +343,13 @@ def test_lanczos_basis_cap_admits_a_basis_of_exactly_its_size(monkeypatch):
     # 30 vertices cap the certificate's steps at 30: a 30 x 30 float64 basis of 7,200 bytes.
     a = sp.diags(np.arange(1.0, 31.0))
     monkeypatch.setattr("rpcsp.kikuchi.DEFAULT_BASIS_BYTES", 7200)
-    assert spectral_norm(a) == pytest.approx(30.0, rel=1e-3)
+    assert spectral_norm(a)[0] == pytest.approx(30.0, rel=1e-3)
     monkeypatch.setattr("rpcsp.kikuchi.DEFAULT_BASIS_BYTES", 7199)
     with pytest.raises(ResourceLimitError, match="basis cap"):
         spectral_norm(a)
 
 
-def test_refute_checks_tol_and_the_basis_cap_before_it_builds(monkeypatch):
+def test_refute_checks_the_basis_cap_before_it_builds(monkeypatch):
     def no_build(*args):
         raise AssertionError("build_kikuchi ran before the checks")
 
@@ -370,13 +360,11 @@ def test_refute_checks_tol_and_the_basis_cap_before_it_builds(monkeypatch):
                        rng.choice(np.array([-1, 1], np.int8), size=100))
     with pytest.raises(ResourceLimitError, match="238-step Lanczos basis on 916895 vertices"):
         refute_report(inst, 4)
-    with pytest.raises(ParameterError, match="tol"):
-        refutation_certificate(inst, 4, tol=0.7)
 
 
 def test_certificate_runs_the_step_count_its_failure_probability_needs():
-    # (ln(1.648 sqrt(2024) / 1e-6) / sqrt(eps) + 1) / 2 with eps = tol (2 - tol)
-    rep = refute_report(_random_signs_instance(24, 2000, 4, 5), 3, tol=1e-3, seed=5)
+    # (ln(1.648 sqrt(2024) / 1e-6) / sqrt(eps) + 1) / 2 with eps = tol (2 - tol), tol = 1e-3
+    rep = refute_report(_random_signs_instance(24, 2000, 4, 5), 3, seed=5)
     assert rep.num_vertices == 2024
     assert rep.lanczos_steps == 204
     assert rep.failure_prob == 1e-6
@@ -385,7 +373,7 @@ def test_certificate_runs_the_step_count_its_failure_probability_needs():
 @pytest.mark.parametrize("planted", [False, True])
 @pytest.mark.parametrize("k,pad", [(2, 0), (2, 1), (4, 0), (4, 1)])
 def test_spectral_norm_brackets_the_exact_norm(k, pad, planted):
-    tol = 1e-3
+    tol = CERT_TOL
     for trial in range(6):
         seed = cell_seed(330, k, pad, planted, trial)
         n = 7 + trial
@@ -395,7 +383,7 @@ def test_spectral_norm_brackets_the_exact_norm(k, pad, planted):
             inst = _random_signs_instance(n, 5 * n, k, seed)
         kik = build_kikuchi(inst, k // 2 + pad)
         exact = np.abs(np.linalg.eigvalsh(kik.matrix.toarray().astype(np.float64))).max()
-        est = spectral_norm(kik, tol=tol, seed=seed)
+        est, _, _ = spectral_norm(kik.matrix, seed=seed)
         assert exact <= est / (1 - tol)
         assert est <= exact * (1 + 1e-9)
 
@@ -415,9 +403,9 @@ def test_certificate_dominates_brute_max():
 
 def test_report_fields_are_consistent():
     inst = _random_signs_instance(12, 100, 2, 9)
-    rep = refute_report(inst, 1, tol=1e-3, seed=9)
+    rep = refute_report(inst, 1, seed=9)
     n_vert = rep.num_vertices
-    recomputed = (rep.spectral_estimate / (1 - 1e-3)) * n_vert / (
+    recomputed = (rep.spectral_estimate / (1 - CERT_TOL)) * n_vert / (
         inst.m * rep.pairs_per_clause) + rep.dropped_clauses / inst.m
     assert rep.delta_hat == pytest.approx(recomputed, rel=1e-12)
     assert rep.used_clauses + rep.dropped_clauses == inst.m
@@ -437,8 +425,6 @@ def test_empty_instance_has_no_certificate():
     inst = XorInstance(6, 2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int8))
     with pytest.raises(ParameterError, match="empty"):
         refute_report(inst, 1)
-    with pytest.raises(ParameterError, match="empty"):
-        certificate_report(build_kikuchi(inst, 1))
 
 
 def test_build_rejects_odd_arity():
@@ -482,63 +468,3 @@ def test_clause_set_keys_must_fit_int64(monkeypatch):
     inst = XorInstance(70, 34, np.arange(1, 35, dtype=np.int64)[None, :], np.ones(1, np.int8))
     with pytest.raises(ResourceLimitError, match="int64"):
         build_kikuchi(inst, 17)
-
-
-# ------------------------------------------------------------------ dump format
-
-def test_dump_round_trip(tmp_path):
-    inst = _random_signs_instance(11, 70, 4, 12)
-    kik = build_kikuchi(inst, 2)
-    path = str(tmp_path / "mat.kik")
-    write_kikuchi_dump(kik, path)
-    n, ell, mat = read_kikuchi_dump(path)
-    assert (n, ell) == (11, 2)
-    assert sp.issparse(mat)
-    assert (mat != kik.matrix).nnz == 0
-
-
-@pytest.mark.parametrize("header,error", [
-    (b"kik -3 2 0\n", FormatError),  # math.comb raises ValueError on negative n
-    (b"kik 5 0 0\n", FormatError),
-    (b"kik 5 6 0\n", FormatError),
-    (b"kik 5 2 -1\n", FormatError),
-    (b"kik 100000 5 0\n", ResourceLimitError),  # C(n, ell) exceeds int64
-    (b"kik 200 4 0\n", ResourceLimitError),  # 64.7M vertices: fits int64, over the cap
-    (b"kik %d %d 0\n" % (10 ** 12, 5 * 10 ** 11), ResourceLimitError),  # exact C(n, ell) is huge
-])
-def test_read_kikuchi_dump_checks_header_before_allocating(tmp_path, header, error):
-    path = tmp_path / "bad.kik"
-    path.write_bytes(header)
-    with pytest.raises(error):
-        read_kikuchi_dump(str(path))
-
-
-@pytest.fixture(scope="module")
-def kik_path(tmp_path_factory):
-    """One file for the fuzz test; module-scoped so @given can use it."""
-    return tmp_path_factory.mktemp("kik") / "f.kik"
-
-
-@st.composite
-def _kik_files(draw):
-    """A header, then triples whose count and ranks mostly fit it."""
-    n = draw(st.integers(-1, 12) | st.sampled_from([10 ** 7, 2 ** 64]))
-    ell = draw(st.integers(0, 5))
-    rank = st.integers(-1, math.comb(n, ell) if 1 <= ell <= n <= 12 else 500)
-    entries = draw(st.lists(st.tuples(rank, rank, st.integers(-2 ** 31, 2 ** 31 - 1)),
-                            max_size=4))
-    nnz = len(entries) + draw(st.sampled_from([0] * 6 + [-1, 1]))
-    return b"kik %d %d %d\n" % (n, ell, nnz) + np.array(entries, dtype=_TRIPLE).tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(content=st.binary(max_size=64) | _kik_files())
-def test_read_kikuchi_dump_gives_matrix_or_error(kik_path, content):
-    kik_path.write_bytes(content)
-    try:
-        n, ell, mat = read_kikuchi_dump(str(kik_path))
-    except (FormatError, ResourceLimitError):
-        return
-    dim = math.comb(n, ell)
-    assert dim <= DEFAULT_VERTEX_CAP
-    assert mat.shape == (dim, dim)
