@@ -311,7 +311,7 @@ def _certificate_steps(dim: int) -> int:
     return steps
 
 
-def spectral_norm(a: sp.spmatrix, seed: int = 0):
+def spectral_norm(a: sp.spmatrix, seed: int = 0) -> tuple[float, int, float]:
     """(||A|| estimate, Lanczos steps, residual on A^2) to relative accuracy CERT_TOL.
 
     Runs _lanczos on A^2 from a Gaussian start for a step count fixed in

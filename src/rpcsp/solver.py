@@ -192,7 +192,8 @@ def solve_csp(
     tries the distribution-complexity witness with its coefficient sign
     first; if neither of its candidates has value 1, the remaining tasks
     follow in the usual order. A kikuchi_spectral ell, which reaches only the
-    full side, is checked against that side's lift before any side runs.
+    full side, is checked against that side's lift, and q against the CSP's
+    arity, before any side runs.
     """
     if psi.m == 0:
         raise ParameterError("cannot solve an empty instance")
