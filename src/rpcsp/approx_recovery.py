@@ -39,7 +39,8 @@ AGREEMENT_FRACTION = 0.99
 # kikuchi_spectral stops once its Ritz residual is below this share of the top eigenvalue.
 RITZ_RTOL = 1e-8
 # brute transforms a 2^n int32 table, 256 MB at n = 26; an n = 26 solve_xor
-# (3-XOR, m = 400) peaks at 571 MB RSS, 59 MB of it before the solve.
+# (3-XOR, m = 400) takes 2.5-3.0 s and peaks at 317 MB RSS, 59 MB of it
+# before the solve (2 cores, NumPy 2.4.6).
 BRUTE_MAX_N = 26
 
 BACKEND_KINDS = ("brute", "sdp_basic", "kikuchi_spectral")

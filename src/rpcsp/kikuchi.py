@@ -189,7 +189,12 @@ class KikuchiMatrix:
 
 
 def check_level(n: int, k: int, ell: int):
-    """ParameterError unless ell is a level the arity-k lift over n variables has."""
+    """ParameterError unless ell is a level the arity-k lift over n variables has.
+
+    UnsupportedConfigError first if k is odd: the lift needs even arity.
+    """
+    if k % 2 != 0:
+        raise UnsupportedConfigError(f"Kikuchi lift needs even arity, got k={k}")
     if not (k // 2 <= ell <= n):
         raise ParameterError(f"need k/2 <= ell <= n, got ell={ell}")
     if ell - k // 2 > n - k:
@@ -199,8 +204,6 @@ def check_level(n: int, k: int, ell: int):
 def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
     """Assemble the level-l matrix from the distinct-entry clauses of inst."""
     k = inst.k
-    if k % 2 != 0:
-        raise UnsupportedConfigError(f"Kikuchi lift needs even arity, got k={k}")
     check_level(inst.n, k, ell)
     num_vertices = _vertex_count(inst.n, ell)
     if comb(inst.n, k) > np.iinfo(np.int64).max:
@@ -350,10 +353,12 @@ class RefutationReport:
 def refute_report(inst: XorInstance, ell: int, seed: int = 0) -> RefutationReport:
     """The level-ell certificate of inst over its m = used + dropped clauses.
 
-    The Lanczos basis cap depends only on C(n, ell), so it is checked before the build.
+    The arity, the level and the Lanczos basis cap, which depends only on
+    C(n, ell), are checked before the build, in that order.
     """
     if inst.m == 0:
         raise ParameterError("cannot certify an empty instance")
+    check_level(inst.n, inst.k, ell)
     _certificate_steps(_vertex_count(inst.n, ell))
     kik = build_kikuchi(inst, ell)
     lam, steps, residual = spectral_norm(kik.matrix, seed)

@@ -40,6 +40,31 @@ def brute_argmax_rows(inst):
     return assignments[totals == totals.max()]
 
 
+def textbook_walsh_hadamard(f):
+    """A copy of f transformed stage by stage: h = 1, 2, 4, ..., each over the whole array.
+
+    Stage h replaces each pair (a, b) = (f[i], f[i + h]), bit h of i clear,
+    with (a + b, a - b).
+    """
+    f = np.array(f)
+    h = 1
+    while h < f.size:
+        for i in range(0, f.size, 2 * h):
+            a, b = f[i:i + h].copy(), f[i + h:i + 2 * h].copy()
+            f[i:i + h] = a + b
+            f[i + h:i + 2 * h] = a - b
+        h *= 2
+    return f
+
+
+def sylvester_hadamard(k):
+    """The 2^k x 2^k Sylvester Hadamard matrix, built by doubling."""
+    h = np.ones((1, 1), dtype=np.int64)
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 def naive_fourier_coefficient(q, s):
     """2^{-k} sum_y q(y) prod_{j in s} y_j by direct summation."""
     k = len(next(iter(q.mass)))

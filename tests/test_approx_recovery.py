@@ -111,6 +111,12 @@ def test_brute_moments_match_enumeration():
         assert np.allclose(pe.m2, second, atol=1e-12)
 
 
+def test_brute_moments_match_enumeration_across_blocks(monkeypatch):
+    # 16-entry blocks: the 2^6..2^10 tables cross blocks in both transforms.
+    monkeypatch.setattr("rpcsp.fourier._WHT_BLOCK", 16)
+    test_brute_moments_match_enumeration()
+
+
 def test_brute_objective_matches_enumeration():
     inst = _random_signs_instance(9, 50, 3, 7)
     pe = solve_pseudo_expectation(inst, BackendChoice.brute(), 7)

@@ -212,6 +212,17 @@ def test_refute_checks_the_basis_cap_before_it_builds(tmp_path, monkeypatch):
     assert _run(["refute", "--in", path, "--ell", "4"]) == 3
 
 
+def test_refute_of_odd_arity_exits_one_at_any_level(tmp_path, capsys):
+    # At ell = 4 the 916,895-vertex basis would exceed the cap (exit 3).
+    rng = np.random.default_rng(5)
+    path = str(tmp_path / "odd.xor")
+    write_xor(XorInstance(70, 3, rng.integers(1, 71, size=(100, 3)),
+                          rng.choice(np.array([-1, 1], np.int8), size=100)), path)
+    assert _run(["refute", "--in", path, "--ell", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "even arity" in err
+
+
 # --------------------------------------------------------------------- fourier
 
 def test_fourier_command_reports_complexity(tmp_path, capsys):

@@ -1,10 +1,18 @@
 """Tests for pattern-distribution Fourier analysis and complexity."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import naive_complexity, naive_fourier_coefficient, random_planting
+from _oracles import (
+    naive_complexity,
+    naive_fourier_coefficient,
+    random_planting,
+    sylvester_hadamard,
+    textbook_walsh_hadamard,
+)
 from rpcsp import (
     CspPredicate,
     FormatError,
@@ -12,7 +20,7 @@ from rpcsp import (
     distribution_complexity,
     fourier_table,
 )
-from rpcsp.fourier import read_planting, subsets_by_size, write_planting
+from rpcsp.fourier import read_planting, subsets_by_size, walsh_hadamard, write_planting
 from rpcsp.rng import derived_rng
 
 
@@ -120,6 +128,60 @@ def test_mean_coefficient_is_normalization():
 def test_subsets_by_size_order():
     seen = list(subsets_by_size(3))
     assert seen == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
+# ------------------------------------------------------------ the transform
+
+# Default-sized blocks, and 16-entry ones, which put every size above 2^4
+# through the cross-block stages and the piecewise scratch.
+@pytest.fixture(params=[None, 16], ids=["default-block", "block-16"])
+def wht_block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr("rpcsp.fourier._WHT_BLOCK", request.param)
+
+
+def _random_table(k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if dtype == np.int32:
+        return rng.integers(-1000, 1001, size=1 << k).astype(np.int32)
+    return rng.standard_normal(1 << k)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_walsh_hadamard_gives_the_textbook_bits(wht_block, dtype):
+    for k in range(17):
+        f = _random_table(k, dtype, k)
+        want = textbook_walsh_hadamard(f)
+        got = walsh_hadamard(f)
+        assert got is f
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_walsh_hadamard_is_the_sylvester_product(wht_block, dtype):
+    for k in range(11):
+        f = _random_table(k, dtype, 100 + k)
+        want = sylvester_hadamard(k) @ f
+        got = walsh_hadamard(f.copy())
+        if dtype == np.int32:
+            assert np.array_equal(got, want), k
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-9), k
+
+
+def test_walsh_hadamard_scratch_is_one_and_a_half_blocks():
+    from rpcsp.fourier import _WHT_BLOCK
+
+    f = _random_table(22, np.int32, 7)
+    tracemalloc.start()
+    try:
+        walsh_hadamard(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 16 MB transformed in 1.5 MB of scratch, plus the ufunc buffers NumPy
+    # takes on short runs (one per operand) and room for its views.
+    assert peak <= 1.5 * _WHT_BLOCK * f.itemsize + 3 * np.getbufsize() * f.itemsize + 16384
 
 
 # --------------------------------------------------------------- file format

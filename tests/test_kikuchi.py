@@ -362,6 +362,20 @@ def test_refute_checks_the_basis_cap_before_it_builds(monkeypatch):
         refute_report(inst, 4)
 
 
+@pytest.mark.parametrize("ell", [2, 4])
+def test_refute_checks_the_arity_before_the_basis_cap(monkeypatch, ell):
+    def no_build(*args):
+        raise AssertionError("build_kikuchi ran before the checks")
+
+    monkeypatch.setattr("rpcsp.kikuchi.build_kikuchi", no_build)
+    # Odd arity: at ell = 4 the basis cap (916,895 vertices) would also fail.
+    rng = np.random.default_rng(5)
+    inst = XorInstance(70, 3, rng.integers(1, 71, size=(100, 3)),
+                       rng.choice(np.array([-1, 1], np.int8), size=100))
+    with pytest.raises(UnsupportedConfigError, match="needs even arity, got k=3"):
+        refute_report(inst, ell)
+
+
 def test_certificate_runs_the_step_count_its_failure_probability_needs():
     # (ln(1.648 sqrt(2024) / 1e-6) / sqrt(eps) + 1) / 2 with eps = tol (2 - tol), tol = 1e-3
     rep = refute_report(_random_signs_instance(24, 2000, 4, 5), 3, seed=5)
