@@ -43,8 +43,8 @@ def brute_argmax_rows(inst):
 def textbook_walsh_hadamard(f):
     """A copy of f transformed stage by stage: h = 1, 2, 4, ..., each over the whole array.
 
-    Stage h replaces each pair (a, b) = (f[i], f[i + h]), bit h of i clear,
-    with (a + b, a - b).
+    Stage h replaces each pair (a, b) = (f[i], f[i + h]) with i & h == 0
+    by (a + b, a - b).
     """
     f = np.array(f)
     h = 1

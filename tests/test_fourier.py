@@ -20,7 +20,13 @@ from rpcsp import (
     distribution_complexity,
     fourier_table,
 )
-from rpcsp.fourier import read_planting, subsets_by_size, walsh_hadamard, write_planting
+from rpcsp.fourier import (
+    _WHT_BLOCK,
+    read_planting,
+    subsets_by_size,
+    walsh_hadamard,
+    write_planting,
+)
 from rpcsp.rng import derived_rng
 
 
@@ -170,8 +176,6 @@ def test_walsh_hadamard_is_the_sylvester_product(wht_block, dtype):
 
 
 def test_walsh_hadamard_scratch_is_one_and_a_half_blocks():
-    from rpcsp.fourier import _WHT_BLOCK
-
     f = _random_table(22, np.int32, 7)
     tracemalloc.start()
     try:
