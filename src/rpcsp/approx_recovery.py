@@ -28,7 +28,7 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, UnsupportedConfigError
+from .errors import ConvergenceError, ParameterError, ResourceLimitError, UnsupportedConfigError
 from .fourier import walsh_hadamard
 from .instances import Assignment, XorInstance, sign_round, validate_assignment
 from .kikuchi import _lanczos, build_kikuchi
@@ -42,6 +42,11 @@ RITZ_RTOL = 1e-8
 # (3-XOR, m = 400) takes 2.5-3.0 s and peaks at 317 MB RSS, 59 MB of it
 # before the solve (2 cores, NumPy 2.4.6).
 BRUTE_MAX_N = 26
+# Bytes of one dense n x n float64 moment matrix for sdp_basic and
+# kikuchi_spectral: 2^27 admits n <= 4,096. A solve holds a few such
+# matrices at once; an n = 4,096 sdp_basic solve_xor (2-XOR, m = 20n) takes
+# about 8 s and peaks at 606 MB RSS, 61 MB of it before the solve (2 cores).
+DEFAULT_MOMENT_BYTES = 1 << 27
 
 BACKEND_KINDS = ("brute", "sdp_basic", "kikuchi_spectral")
 
@@ -115,13 +120,21 @@ class PseudoExpectation:
         return float(xf @ self.m2 @ xf)
 
 
+def _pair_cells(inst: XorInstance) -> np.ndarray:
+    """Flat index (i - 1) * n + (j - 1) of each arity-2 clause's (i, j) cell, in one array."""
+    cell = inst.scopes[:, 0] * inst.n
+    cell += inst.scopes[:, 1]
+    cell -= inst.n + 1
+    return cell
+
+
 def clause_objective(inst: XorInstance, m2: np.ndarray) -> float:
     """sum over clauses of rhs * m2 entry (arity-2 instances)."""
     if inst.k != 2:
         raise ParameterError("clause_objective is defined for arity 2")
-    i = inst.scopes[:, 0] - 1
-    j = inst.scopes[:, 1] - 1
-    return float(np.sum(inst.rhs.astype(np.float64) * m2[i, j]))
+    terms = np.take(m2, _pair_cells(inst))
+    terms *= inst.rhs
+    return float(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +161,13 @@ def check_brute_n(n: int):
     """UnsupportedConfigError if the brute backend cannot take n variables."""
     if n > BRUTE_MAX_N:
         raise UnsupportedConfigError(f"brute backend capped at n <= {BRUTE_MAX_N}, got n={n}")
+
+
+def check_moment_n(n: int):
+    """ResourceLimitError if a dense n x n float64 moment matrix exceeds DEFAULT_MOMENT_BYTES."""
+    if n * n * 8 > DEFAULT_MOMENT_BYTES:
+        raise ResourceLimitError(f"dense {n} x {n} moments exceed the moment cap of "
+                                 f"{DEFAULT_MOMENT_BYTES} bytes")
 
 
 def _brute_backend(inst: XorInstance) -> PseudoExpectation:
@@ -181,8 +201,7 @@ def _pair_weights(inst: XorInstance) -> np.ndarray:
     that uses it already keeps dense n x n moments.
     """
     n = inst.n
-    cell = (inst.scopes[:, 0] - 1) * n + (inst.scopes[:, 1] - 1)
-    w = np.bincount(cell, weights=inst.rhs, minlength=n * n).reshape(n, n)
+    w = np.bincount(_pair_cells(inst), weights=inst.rhs, minlength=n * n).reshape(n, n)
     w += w.T
     np.fill_diagonal(w, 0.0)
     return w
@@ -263,15 +282,19 @@ def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: in
     """Run one backend and return its validated surrogate.
 
     ell is the kikuchi_spectral level, k/2 if None; the other backends ignore it.
+    The dense moments of sdp_basic and kikuchi_spectral are checked against
+    DEFAULT_MOMENT_BYTES before either allocates; brute has its own cap on n.
     """
     if inst.m == 0:
         raise ParameterError("cannot build a surrogate from an empty instance")
     if backend.kind == "brute":
         pe = _brute_backend(inst)
-    elif backend.kind == "sdp_basic":
-        pe = _sdp_backend(inst, backend, seed)
     else:
-        pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell)
+        check_moment_n(inst.n)
+        if backend.kind == "sdp_basic":
+            pe = _sdp_backend(inst, backend, seed)
+        else:
+            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell)
     pe.validate()
     return pe
 

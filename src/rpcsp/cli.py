@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .approx_recovery import BACKEND_KINDS, BackendChoice, check_brute_n
+from .approx_recovery import BACKEND_KINDS, BackendChoice, check_brute_n, check_moment_n
 from .errors import (
     ConvergenceError,
     FormatError,
@@ -295,6 +295,8 @@ def _cmd_sweep(args) -> int:
             raise ParameterError("need 1 <= k <= n")
         if args.k >= 2 and args.backend == "brute":
             check_brute_n(n)
+        if args.k >= 2 and args.backend != "brute":
+            check_moment_n(n)
         if args.k >= 2 and args.backend == "kikuchi_spectral":
             check_lift_level(n, args.k, ell, f"arity-{args.k} XOR")
 

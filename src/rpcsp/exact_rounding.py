@@ -30,11 +30,17 @@ def majority_round_detail(inst: XorInstance, x_tilde: Assignment):
     """
     x_tilde = validate_assignment(x_tilde, inst.n)
     cleaned, dropped = clean(inst)
-    flat = cleaned.scopes.ravel()
-    full = np.repeat(cleaned.rhs * cleaned.clause_products(x_tilde), inst.k)
-    # Sums of at most m*k unit weights: integers, exact in float64.
-    sums = x_tilde * np.bincount(flat, weights=full, minlength=inst.n + 1)[1:].astype(np.int64)
-    counts = np.bincount(flat, minlength=inst.n + 1)[1:]
+    votes = cleaned.rhs * cleaned.clause_products(x_tilde)
+    # Sums of at most m*k unit weights: integers, exact in float64. They are
+    # summed one scope column of 2^16 clauses at a time, so the copies
+    # bincount makes of a column and its weights stay at 1 MB.
+    total = np.zeros(inst.n + 1)
+    step = 1 << 16
+    for lo in range(0, cleaned.m, step):
+        for col in cleaned.scopes[lo:lo + step].T:
+            total += np.bincount(col, weights=votes[lo:lo + step], minlength=inst.n + 1)
+    sums = x_tilde * total[1:].astype(np.int64)
+    counts = np.bincount(cleaned.scopes.ravel(), minlength=inst.n + 1)[1:]
     covered = counts > 0
     out = np.where(covered, np.where(sums >= 0, 1, -1), x_tilde).astype(np.int8)
     return out, {

@@ -11,8 +11,10 @@ sum_j 2^(j-1)*[y_j == -1], so the all-plus pattern is index 0.
 """
 from __future__ import annotations
 
+import io
 import os
 import re
+import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -461,14 +463,31 @@ def sample_planted_csp(
 #
 # Instance and assignment files are ASCII text: an optional header line, then
 # a body of decimal integers with an optional sign, separated by whitespace.
-# One codec moves every body between a (rows, fields) int array and text, with
-# no Python object per token. The writer lays each row chunk out as a uint8
-# array of fixed-width cells, one decimal digit per integer division, and
-# drops the unused bytes with one mask; the reader parses with np.fromstring.
+# One codec moves every body between int arrays and text, with no Python
+# object per token, a block at a time in both directions.
+#
+# The writer formats _WRITE_CHUNK_ROWS rows at a time, taken straight from
+# the instance's arrays: it lays each chunk out as a uint8 array of
+# fixed-width cells, one decimal digit per integer division, and drops the
+# unused bytes with one mask.
+#
+# The reader takes the header line, then the body in blocks of about
+# _READ_BLOCK bytes, each cut after its last whitespace byte and parsed with
+# np.fromstring (_parse_ints). The partial token behind the cut is carried
+# into the next block, shortened to at most 22 bytes that parse the same
+# way whatever follows (_carry), so a token spanning many blocks costs no
+# more than a short one. Values go straight into the arrays the reader
+# returns, whole rows at a time. So a reader holds its output plus a few
+# blocks, and a writer a few chunks, at any file size. A block cut after
+# whitespace gets the verdict the whole text would, so the grammar and the
+# error messages do not depend on where the cuts fall.
 
 _TMP_SUFFIX = ".tmp"
 # Rows formatted per chunk; bounds the writer's digit buffer.
 _WRITE_CHUNK_ROWS = 1 << 14
+# Body bytes read and parsed per block: 256 KB, which the parser widens to
+# at most about 2 MB of int64 values and masks. Larger blocks were no faster.
+_READ_BLOCK = 1 << 18
 # Body bytes by class: whitespace (what str.split() skips on ASCII text) to
 # b" ", digits and signs unchanged, anything else to b"x".
 _NORMALIZE = bytes(
@@ -476,6 +495,9 @@ _NORMALIZE = bytes(
     for c in range(256)
 )
 _FIRST_LINE = re.compile(rb"[^\r\n]*")
+# A token prefix: its sign, a zero for any leading zeros, and the first 20
+# significant digits, past which an integer is beyond int64 anyway.
+_TOKEN_PREFIX = re.compile(rb"([+-]?)(0?)0*([0-9]{0,20})[0-9]*")
 _INT64 = np.iinfo(np.int64)
 
 
@@ -527,27 +549,32 @@ def _format_rows(rows: np.ndarray, signed) -> bytes:
     return buf[buf != 0].tobytes()
 
 
-def _write_rows(path: str, header: str, rows: np.ndarray, signed):
-    """Write `header`, then each row of an int array as one line (see _format_rows)."""
+def _write_rows(path: str, header: str, m: int, rows_of: Callable[[slice], np.ndarray], signed):
+    """Write `header`, then rows 0..m-1 as lines (see _format_rows).
+
+    rows_of(s) gives the rows of one chunk s, built from the caller's arrays,
+    so no array of all m rows is ever made.
+    """
     with _atomic_open(path, "wb") as f:
         f.write(header.encode("ascii"))
-        for start in range(0, rows.shape[0], _WRITE_CHUNK_ROWS):
-            f.write(_format_rows(rows[start:start + _WRITE_CHUNK_ROWS], signed))
+        for start in range(0, m, _WRITE_CHUNK_ROWS):
+            f.write(_format_rows(rows_of(slice(start, start + _WRITE_CHUNK_ROWS)), signed))
 
 
 def _parse_ints(text: bytes, what: str) -> np.ndarray:
     """The whitespace-separated integers in `text`, as split() and int() read them.
 
     np.fromstring parses in C, and the checks around it close its gaps. It
-    reads a bare sign as part of the next token, a trailing one as 0 and
-    all-whitespace text as [0], and it saturates on overflow. The byte
-    checks and the token count reject all of these.
+    reads a bare sign as part of the next token, or as 0 if whitespace or
+    nothing follows, all-whitespace text as [0], and it saturates on
+    overflow. The byte checks and the token count reject all of these.
     """
     text = text.translate(_NORMALIZE)
     c = np.frombuffer(text, dtype=np.uint8)
     space = c == ord(" ")
     sign = (c == ord("+")) | (c == ord("-"))
-    if b"x" in text or sign[-1:].any() or (sign[1:] & ~space[:-1]).any():
+    if (b"x" in text or sign[-1:].any() or (sign[:-1] & space[1:]).any()
+            or (sign[1:] & ~space[:-1]).any()):
         raise FormatError(f"non-integer token in {what}")
     tokens = int(np.count_nonzero(space[:-1] & ~space[1:])) + int(c.size > 0 and not space[0])
     if tokens == 0:
@@ -567,69 +594,167 @@ def _parse_ints(text: bytes, what: str) -> np.ndarray:
     return values
 
 
-def _read_clauses(
-    path: str, usage: str, width: Callable[[int], int]
-) -> tuple[list[str], int, int, np.ndarray]:
-    """Header tokens, n, k and the (m, width(k)) body of an instance file.
+def _cut(text: bytes) -> int:
+    """Length of the longest prefix of `text` that ends in whitespace; 0 if none does."""
+    # The last whitespace byte is nearly always among the last few, so look there first.
+    for lo in (max(len(text) - 64, 0), 0):
+        end = text[lo:].translate(_NORMALIZE).rfind(b" ")
+        if end >= 0:
+            return lo + end + 1
+    return 0
 
-    The header is checked against `usage`, e.g. 'xor <n> <m> <k>'.
+
+def _carry(token: bytes) -> bytes:
+    """A token of at most 22 bytes that parses as `token` does, whatever bytes follow.
+
+    `token` is a run of body bytes with no whitespace. One that is no
+    integer prefix stays a non-integer token whatever follows, as b"x" is.
+    """
+    prefix = _TOKEN_PREFIX.fullmatch(token)
+    return b"".join(prefix.groups()) if prefix else b"x"
+
+
+def _int_blocks(f, text: bytes, what: str):
+    """The integers of `text` and then of the rest of f, one block at a time.
+
+    The blocks' values, joined, are what _parse_ints finds in the whole
+    text, and so is its error: a non-integer token anywhere outranks an
+    integer beyond int64, so that error is raised only at the end, and no
+    block is yielded after it.
+    """
+    overflow = None
+    while True:
+        # Top the text up to one block; a short read is the end of the file.
+        want, held = max(_READ_BLOCK - len(text), 1), len(text)
+        text += f.read(want)
+        last = len(text) - held < want
+        cut = len(text) if last else _cut(text)
+        text, tail = text[:cut], _carry(text[cut:])
+        try:
+            values = _parse_ints(text, what)
+        except FormatError as e:
+            if not isinstance(e.__cause__, OverflowError):
+                raise
+            overflow = overflow or e
+        else:
+            if overflow is None:
+                yield values
+            del values  # not held through the next block's parse
+        if last:
+            break
+        text = tail
+    if overflow is not None:
+        raise overflow
+
+
+def _first_line(f) -> tuple[bytes, bytes]:
+    """The first line of f, up to its first \\r or \\n, and the bytes read past it."""
+    parts = []
+    while True:
+        raw = f.read(_READ_BLOCK)
+        end = _FIRST_LINE.match(raw).end()
+        parts.append(raw[:end])
+        if end < len(raw) or not raw:
+            return b"".join(parts), raw[end:]
+
+
+def _pm1_int8(values: np.ndarray) -> np.ndarray:
+    """values as int8 where they are +-1, and 0, which no +-1 check passes, elsewhere."""
+    return np.where((values == 1) | (values == -1), values, 0).astype(np.int8)
+
+
+def _read_clauses(path: str, usage: str, layout):
+    """Header tokens, n, k, scopes and signs of an instance file.
+
+    The header is checked against `usage`, e.g. 'xor <n> <m> <k>'. layout(k)
+    gives the fields per clause and the slices of a clause's fields that
+    hold its k scope indices and its +-1 signs. scopes is a contiguous
+    (m, k) int64 array; signs is int8 with the signs' fields as columns,
+    and 0 wherever a field does not hold +-1.
     """
     with open(path, "rb") as f:
-        data = f.read()
-    end = _FIRST_LINE.match(data).end()
-    try:
-        head = data[:end].decode("ascii").split()
-    except UnicodeDecodeError:
-        head = []
-    expected = usage.split()
-    if len(head) != len(expected) or head[0] != expected[0]:
-        raise FormatError(f"expected header '{usage}'")
-    n, m, k = _parse_ints(" ".join(head[1:4]).encode(), f"{head[0]} header").tolist()
-    if m < 1 or k < 1:
-        raise FormatError("instance must have m >= 1 clauses of arity k >= 1")
-    flat = _parse_ints(data[end:], f"{head[0]} clause")
-    if flat.size != m * width(k):
-        raise FormatError(f"expected {m * width(k)} body tokens, found {flat.size}")
-    return head, n, k, flat.reshape(m, width(k))
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f = io.BytesIO(f.read())  # a pipe has no size to check the header against
+        size = f.seek(0, os.SEEK_END)
+        f.seek(0)
+        line, rest = _first_line(f)
+        try:
+            head = line.decode("ascii").split()
+        except UnicodeDecodeError:
+            head = []
+        expected = usage.split()
+        if len(head) != len(expected) or head[0] != expected[0]:
+            raise FormatError(f"expected header '{usage}'")
+        n, m, k = _parse_ints(" ".join(head[1:4]).encode(), f"{head[0]} header").tolist()
+        if m < 1 or k < 1:
+            raise FormatError("instance must have m >= 1 clauses of arity k >= 1")
+        width, scope_fields, sign_fields = layout(k)
+        # Each token takes at least two bytes with its separator; a header
+        # that claims more gets its count error without any allocation.
+        fits = m * width <= (size - len(line) + 1) // 2
+        if fits:
+            scopes = np.empty((m, k), dtype=np.int64)
+            signs = np.empty((m, width - k), dtype=np.int8)
+        found, row, part = 0, 0, np.zeros(0, dtype=np.int64)
+        for values in _int_blocks(f, rest, f"{head[0]} clause"):
+            found += values.size
+            if not fits or found > m * width:
+                continue
+            # The partial row a block ends in is carried into the next one.
+            part = np.concatenate((part, values))
+            rows = part.size // width
+            block = part[:rows * width].reshape(rows, width)
+            scopes[row:row + rows] = block[:, scope_fields]
+            signs[row:row + rows] = _pm1_int8(block[:, sign_fields])
+            row, part = row + rows, part[rows * width:].copy()
+            del values, block  # not held through the next block's parse
+    if found != m * width:
+        raise FormatError(f"expected {m * width} body tokens, found {found}")
+    return head, n, k, scopes, signs
 
 
 def write_xor(inst: XorInstance, path: str):
-    rows = np.column_stack([inst.rhs, inst.scopes])
-    _write_rows(path, f"xor {inst.n} {inst.m} {inst.k}\n", rows, [True] + [False] * inst.k)
+    _write_rows(path, f"xor {inst.n} {inst.m} {inst.k}\n", inst.m,
+                lambda s: np.column_stack([inst.rhs[s], inst.scopes[s]]),
+                [True] + [False] * inst.k)
 
 
 def read_xor(path: str) -> XorInstance:
-    _, n, k, rows = _read_clauses(path, "xor <n> <m> <k>", lambda k: k + 1)
+    _, n, k, scopes, signs = _read_clauses(
+        path, "xor <n> <m> <k>", lambda k: (k + 1, np.s_[1:], np.s_[:1]))
     try:
-        return XorInstance(n, k, rows[:, 1:], rows[:, 0])
+        return XorInstance(n, k, scopes, signs[:, 0])
     except ParameterError as e:
         raise FormatError(str(e)) from e
 
 
 def write_csp(inst: CspInstance, path: str):
-    rows = np.stack([inst.scopes, inst.negations], axis=2).reshape(inst.m, 2 * inst.k)
     header = f"csp {inst.n} {inst.m} {inst.k} {inst.predicate.to_hex()}\n"
-    _write_rows(path, header, rows, [False, True] * inst.k)
+    _write_rows(path, header, inst.m,
+                lambda s: np.stack([inst.scopes[s], inst.negations[s]], axis=2).reshape(
+                    -1, 2 * inst.k),
+                [False, True] * inst.k)
 
 
 def read_csp(path: str) -> CspInstance:
-    head, n, k, rows = _read_clauses(path, "csp <n> <m> <k> <truth_table_hex>", lambda k: 2 * k)
+    head, n, k, scopes, signs = _read_clauses(
+        path, "csp <n> <m> <k> <truth_table_hex>", lambda k: (2 * k, np.s_[0::2], np.s_[1::2]))
     try:
-        return CspInstance(n, CspPredicate.from_hex(k, head[4]), rows[:, 0::2], rows[:, 1::2])
+        return CspInstance(n, CspPredicate.from_hex(k, head[4]), scopes, signs)
     except ParameterError as e:
         raise FormatError(str(e)) from e
 
 
 def write_assignment(x: Assignment, path: str):
     x = validate_assignment(x)
-    _write_rows(path, "", x[None, :], [True] * x.size)
+    _write_rows(path, "", 1, lambda s: x[None, :], [True] * x.size)
 
 
 def read_assignment(path: str) -> Assignment:
     with open(path, "rb") as f:
-        vals = _parse_ints(f.read(), "assignment")
+        vals = np.concatenate([_pm1_int8(v) for v in _int_blocks(f, b"", "assignment")])
     if vals.size == 0:
         raise FormatError("empty assignment file")
     if not _all_pm1(vals):
         raise FormatError("assignment entries must be +-1")
-    return vals.astype(np.int8)
+    return vals

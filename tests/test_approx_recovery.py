@@ -1,4 +1,6 @@
 """Tests for relaxation backends, moment validation, and sign rounding."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from rpcsp import (
     ConvergenceError,
     ParameterError,
     PseudoExpectation,
+    ResourceLimitError,
     UnsupportedConfigError,
     XorInstance,
     corr,
@@ -26,6 +29,7 @@ from rpcsp import (
 )
 from rpcsp.approx_recovery import (
     BRUTE_MAX_N,
+    DEFAULT_MOMENT_BYTES,
     RITZ_RTOL,
     _pair_weights,
     _unit_gram,
@@ -151,6 +155,30 @@ def test_brute_assignment_cap_ceiling(monkeypatch):
     assert BRUTE_MAX_N == 26
     with pytest.raises(UnsupportedConfigError, match="n <= 26"):
         solve_pseudo_expectation(_random_signs_instance(27, 10, 3, 0), BackendChoice.brute(), 0)
+
+
+@pytest.mark.parametrize("kind", ["sdp_basic", "kikuchi_spectral"])
+def test_moment_cap_raises_before_the_dense_moments_exist(kind):
+    # n = 60,000: one dense n x n float64 matrix would take 28.8 GB.
+    inst = XorInstance(60_000, 2, np.array([[1, 2]]), np.array([1]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="moment cap"):
+            solve_pseudo_expectation(inst, BackendChoice(kind), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("kind", ["sdp_basic", "kikuchi_spectral"])
+def test_moment_cap_admits_moments_of_exactly_its_size(monkeypatch, kind):
+    assert DEFAULT_MOMENT_BYTES == 4096 * 4096 * 8
+    monkeypatch.setattr("rpcsp.approx_recovery.DEFAULT_MOMENT_BYTES", 12 * 12 * 8)
+    assert solve_pseudo_expectation(_random_signs_instance(12, 60, 2, 5),
+                                    BackendChoice(kind), 5).n == 12
+    with pytest.raises(ResourceLimitError, match="moment cap"):
+        solve_pseudo_expectation(_random_signs_instance(13, 60, 2, 5), BackendChoice(kind), 5)
 
 
 # ------------------------------------------------------------------------- sdp

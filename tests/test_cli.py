@@ -499,6 +499,41 @@ def test_resource_limit_exits_three(tmp_path):
     assert code == 3  # vertex table over the cap
 
 
+@pytest.mark.parametrize("backend", ["sdp_basic", "kikuchi_spectral"])
+def test_solve_over_the_moment_cap_exits_three(tmp_path, capsys, backend):
+    # Dense 60,000 x 60,000 moments would take 28.8 GB.
+    path = tmp_path / "mid.xor"
+    path.write_text("xor 60000 1 2\n+1 1 2\n")
+    code = _run(["solve", "--in", str(path), "--backend", backend, "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "moment cap" in err
+
+
+def test_sweep_over_the_moment_cap_exits_three_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(task):
+        raise AssertionError("ran a trial past the moment cap")
+
+    monkeypatch.setattr("rpcsp.cli._sweep_trial", no_trial)
+    code = _run(["sweep", "--k", "2", "--n-list", "20,60000", "--eps-list", "0.3",
+                 "--m-rule", "100", "--backend", "sdp_basic", "--trials", "1",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "moment cap" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_header_claiming_more_clauses_than_the_body_holds_exits_two(tmp_path, capsys):
+    path = tmp_path / "big.xor"
+    path.write_text("xor 5 1000000000000000 2\n+1 1 2\n-1 2 3\n")
+    code = _run(["solve", "--in", str(path), "--backend", "sdp_basic",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "expected 3000000000000000 body tokens, found 6" in err
+
+
 def test_refute_over_the_entry_cap_exits_three(tmp_path):
     gen = str(tmp_path / "g")
     _run(["generate", "xor", "--n", "60", "--k", "4", "--m", "20000",

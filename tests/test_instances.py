@@ -1,4 +1,5 @@
 """Tests for assignments, samplers, predicates, plantings, and file formats."""
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,7 +15,7 @@ from _oracles import (
     naive_write_csp,
     naive_write_xor,
 )
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rpcsp.instances
@@ -35,6 +36,7 @@ from rpcsp import (
 )
 from rpcsp.instances import (
     _INT64,
+    _READ_BLOCK,
     _WRITE_CHUNK_ROWS,
     _all_pm1,
     _format_rows,
@@ -667,8 +669,7 @@ def test_readers_match_split_int_oracle(codec_path, kind, body):
     _assert_matches_oracle(kind, body, codec_path)
 
 
-@pytest.mark.parametrize("kind", sorted(_READERS))
-@pytest.mark.parametrize("body", [
+_NAMED_BODIES = [
     "+1 + 1 2",  # a bare sign merges with the next token in np.fromstring
     " \n\t \n",  # all whitespace parses as [0] in np.fromstring
     "+1 99999999999999999999",  # overflow saturates in np.fromstring
@@ -679,7 +680,11 @@ def test_readers_match_split_int_oracle(codec_path, kind, body):
     "+1 1-2",
     "+1 1x",
     "+1 3 -1 9",
-])
+]
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@pytest.mark.parametrize("body", _NAMED_BODIES)
 def test_readers_match_oracle_on_named_cases(codec_path, kind, body):
     _assert_matches_oracle(kind, body, codec_path)
 
@@ -726,3 +731,149 @@ def test_partial_parse_is_rejected_without_warning(tmp_path):
             read_xor(str(tmp_path / "a.xor"))
         with pytest.raises(FormatError):
             read_assignment(str(tmp_path / "a.assign"))
+
+
+def test_a_bare_sign_before_whitespace_is_a_non_integer_token(tmp_path):
+    # np.fromstring reads "- " at the end of its text as 0.
+    with pytest.raises(FormatError, match="non-integer token in x"):
+        rpcsp.instances._parse_ints(b"1 2 - ", "x")
+    path = tmp_path / "a.assign"
+    path.write_text("+1 - \n")
+    with pytest.raises(FormatError, match="non-integer token in assignment"):
+        read_assignment(str(path))
+
+
+# ------------------------------------------------- the reader's blocks
+
+@pytest.fixture(params=[1, 2, 3, 7])
+def read_block(request, monkeypatch):
+    """The readers' block patched down to a few bytes, so cuts fall everywhere."""
+    monkeypatch.setattr("rpcsp.instances._READ_BLOCK", request.param)
+    return request.param
+
+
+def _message(reader, path):
+    try:
+        reader(str(path))
+    except FormatError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_READERS)), body=_BODIES)
+def test_readers_match_split_int_oracle_in_small_blocks(codec_path, read_block, kind, body):
+    _assert_matches_oracle(kind, body, codec_path)
+    # Same message as a read in one block: the cuts change no verdict.
+    message = _message(_READERS[kind][0], codec_path)
+    with mock.patch.object(rpcsp.instances, "_READ_BLOCK", 1 << 20):
+        assert _message(_READERS[kind][0], codec_path) == message
+
+
+@pytest.mark.parametrize("kind", sorted(_READERS))
+@pytest.mark.parametrize("body", _NAMED_BODIES)
+def test_readers_match_oracle_on_named_cases_in_small_blocks(codec_path, read_block, kind, body):
+    test_readers_match_oracle_on_named_cases(codec_path, kind, body)
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+def test_readers_match_oracle_on_line_endings_in_small_blocks(codec_path, read_block, eol):
+    # Blocks of 1 to 7 bytes cut some "\r\n" between its two bytes.
+    test_readers_match_oracle_on_line_endings(codec_path, eol)
+
+
+def test_read_xor_keeps_integers_at_the_int64_limit_in_small_blocks(codec_path, read_block):
+    test_read_xor_keeps_integers_at_the_int64_limit(codec_path)
+
+
+def test_header_longer_than_a_block_reads_back(tmp_path, read_block):
+    pred = CspPredicate.k_sat(10)  # a 256-digit truth table
+    psi = sample_planted_csp(random_assignment(12, 4), 20, pred,
+                             PlantingDistribution.uniform_satisfying(pred), 4)
+    path = str(tmp_path / "a.csp")
+    write_csp(psi, path)
+    back = read_csp(path)
+    assert np.array_equal(back.predicate.table, pred.table)
+    assert np.array_equal(back.scopes, psi.scopes)
+    assert np.array_equal(back.negations, psi.negations)
+
+
+# 4,000 bytes, under the 4,300 digits int() takes, so the oracle reads them too.
+@pytest.mark.parametrize("token", [
+    "+" + "0" * 4_000 + "7",  # leading zeros: scope 7
+    "-" + "0" * 4_000,  # zero: out of range
+    "1" * 4_000,  # beyond int64
+    "0" * 2_000 + "x" + "0" * 2_000,
+    "0" * 4_000 + "+1",
+], ids=["leading-zeros", "zero", "beyond-int64", "x-inside", "sign-inside"])
+def test_a_token_spanning_many_blocks_parses_as_the_oracle_does(codec_path, monkeypatch, token):
+    monkeypatch.setattr("rpcsp.instances._READ_BLOCK", 32)
+    texts = []
+    parse = rpcsp.instances._parse_ints
+
+    def spy(text, what):
+        texts.append(len(text))
+        return parse(text, what)
+
+    monkeypatch.setattr("rpcsp.instances._parse_ints", spy)
+    content = f"xor 9 2 1\n+1 {token} -1 3\n"
+    assert _outcome(read_xor, content, codec_path) == _outcome(naive_read_xor, content, codec_path)
+    # The carried part of the token stays short, so no block outgrows _READ_BLOCK.
+    assert max(texts) <= 32
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def big_files(tmp_path_factory):
+    """A 100,000-clause 3-XOR and 3-SAT instance and their files (1.5 and 2.1 MB)."""
+    d = tmp_path_factory.mktemp("big")
+    x = random_assignment(1000, 9)
+    inst = sample_planted_xor(x, 100_000, 3, 0.3, 9)
+    pred = CspPredicate.k_sat(3)
+    psi = sample_planted_csp(x, 100_000, pred, PlantingDistribution.uniform_satisfying(pred), 9)
+    write_xor(inst, str(d / "a.xor"))
+    write_csp(psi, str(d / "a.csp"))
+    return inst, psi, d
+
+
+def test_readers_hold_their_output_and_a_few_blocks(big_files):
+    inst, psi, d = big_files
+    got, peak = _peak(lambda: read_xor(str(d / "a.xor")))
+    assert np.array_equal(got.scopes, inst.scopes) and np.array_equal(got.rhs, inst.rhs)
+    # Reading it whole took the output plus 6.6 MB, 25 blocks.
+    assert peak <= got.scopes.nbytes + got.rhs.nbytes + 12 * _READ_BLOCK
+    got, peak = _peak(lambda: read_csp(str(d / "a.csp")))
+    assert np.array_equal(got.scopes, psi.scopes)
+    assert np.array_equal(got.negations, psi.negations)
+    assert peak <= got.scopes.nbytes + got.negations.nbytes + 12 * _READ_BLOCK
+
+
+def test_writers_hold_a_few_chunks(big_files, tmp_path):
+    inst, psi, _ = big_files
+    # A chunk's rows as int64 fields: 4 per 3-XOR clause, 6 per 3-SAT clause.
+    _, peak = _peak(lambda: write_xor(inst, str(tmp_path / "a.xor")))
+    assert peak <= 5 * _WRITE_CHUNK_ROWS * 4 * 8
+    _, peak = _peak(lambda: write_csp(psi, str(tmp_path / "a.csp")))
+    assert peak <= 5 * _WRITE_CHUNK_ROWS * 6 * 8
+
+
+def test_a_header_claiming_more_clauses_than_the_body_holds_allocates_nothing(tmp_path):
+    path = tmp_path / "big.xor"
+    path.write_text("xor 5 1000000000000000 2\n+1 1 2\n-1 2 3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="expected 3000000000000000 body tokens, found 6"):
+            read_xor(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
