@@ -486,7 +486,8 @@ _TMP_SUFFIX = ".tmp"
 # Rows formatted per chunk; bounds the writer's digit buffer.
 _WRITE_CHUNK_ROWS = 1 << 14
 # Body bytes read and parsed per block: 256 KB, which the parser widens to
-# at most about 2 MB of int64 values and masks. Larger blocks were no faster.
+# at most about 2 MB of int64 values and masks. Blocks of 64 KB to 1 MB read
+# an 11 MB .xor file in the same time; at 1 MB the peak rose by 5.7 MB.
 _READ_BLOCK = 1 << 18
 # Body bytes by class: whitespace (what str.split() skips on ASCII text) to
 # b" ", digits and signs unchanged, anything else to b"x".
@@ -495,9 +496,6 @@ _NORMALIZE = bytes(
     for c in range(256)
 )
 _FIRST_LINE = re.compile(rb"[^\r\n]*")
-# A token prefix: its sign, a zero for any leading zeros, and the first 20
-# significant digits, past which an integer is beyond int64 anyway.
-_TOKEN_PREFIX = re.compile(rb"([+-]?)(0?)0*([0-9]{0,20})[0-9]*")
 _INT64 = np.iinfo(np.int64)
 
 
@@ -607,10 +605,12 @@ def _cut(text: bytes) -> int:
 def _carry(token: bytes) -> bytes:
     """A token of at most 22 bytes that parses as `token` does, whatever bytes follow.
 
-    `token` is a run of body bytes with no whitespace. One that is no
-    integer prefix stays a non-integer token whatever follows, as b"x" is.
+    `token` is a run of body bytes with no whitespace. An integer prefix
+    keeps its sign, one zero for any leading zeros and its first 20
+    significant digits, past which it is beyond int64 anyway. Anything else
+    stays a non-integer token whatever follows, as b"x" is.
     """
-    prefix = _TOKEN_PREFIX.fullmatch(token)
+    prefix = re.fullmatch(rb"([+-]?)(0?)0*([0-9]{0,20})[0-9]*", token)
     return b"".join(prefix.groups()) if prefix else b"x"
 
 

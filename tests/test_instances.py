@@ -1,4 +1,5 @@
 """Tests for assignments, samplers, predicates, plantings, and file formats."""
+import os
 import tracemalloc
 import warnings
 from unittest import mock
@@ -743,6 +744,18 @@ def test_a_bare_sign_before_whitespace_is_a_non_integer_token(tmp_path):
         read_assignment(str(path))
 
 
+def test_read_xor_takes_a_pipe():
+    # A pipe has no size to check the header against, so it is read whole.
+    r, w = os.pipe()
+    try:
+        os.write(w, b"xor 9 2 1\n+1 3\n-1 9\n")
+        os.close(w)
+        inst = read_xor(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert inst.scopes.tolist() == [[3], [9]] and inst.rhs.tolist() == [1, -1]
+
+
 # ------------------------------------------------- the reader's blocks
 
 @pytest.fixture(params=[1, 2, 3, 7])
@@ -753,6 +766,7 @@ def read_block(request, monkeypatch):
 
 
 def _message(reader, path):
+    """The message of the FormatError reader raises on path, or None."""
     try:
         reader(str(path))
     except FormatError as e:
