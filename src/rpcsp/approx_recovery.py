@@ -16,7 +16,9 @@ PseudoExpectation.validate checks them after every solve:
   Lanczos with full reorthogonalization from a seeded random start on the
   float64 matrix build_kikuchi returns, multiplied as built with no copy,
   averaged back down to an n x n Gram matrix (KikuchiMatrix.pair_gram) and
-  normalized to unit diagonal, so no projection, with mu1 = 0.
+  normalized to unit diagonal, so no projection, with mu1 = 0. Negating
+  every rhs negates the matrix, so the bottom eigenvector of the same run
+  gives the surrogate of the negated instance when a caller asks for it.
 
 The zero mu1 of the non-brute backends is deliberate: the global sign is
 unidentifiable there and the solver resolves it in its second stage.
@@ -83,6 +85,9 @@ class PseudoExpectation:
     m2: np.ndarray
     backend: str
     info: dict = field(default_factory=dict)
+    # The surrogate of the same instance with every rhs negated, when the
+    # run that made this one gave it too (see solve_pseudo_expectation).
+    negated: PseudoExpectation | None = None
 
     def validate(self):
         mu1 = np.asarray(self.mu1, dtype=np.float64)
@@ -256,34 +261,51 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
 
 
 def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
-                     ell: int) -> PseudoExpectation:
+                     ell: int, negated: bool) -> PseudoExpectation:
     if inst.k % 2 != 0:
         raise UnsupportedConfigError(f"kikuchi_spectral needs even arity, got k={inst.k}")
     kik = build_kikuchi(inst, ell)
     n = inst.n
     dim = kik.num_vertices
     if kik.matrix.nnz == 0:
-        # No usable clauses: the uninformative uniform-distribution surrogate.
-        return PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
-                                 info={"top_eigenvalue": 0.0, "ell": ell})
-    v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
-    top, v, steps, residual = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL)
-    if residual >= RITZ_RTOL * abs(top):
-        raise ConvergenceError(f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
-                               best_estimate=top, iterations=steps)
-    m2 = _unit_gram(kik.pair_gram(v))
-    return PseudoExpectation(n, np.zeros(n), m2, backend="kikuchi_spectral",
-                             info={"top_eigenvalue": top, "ell": ell,
-                                   "lanczos_steps": steps, "residual": residual})
+        # No usable clauses: the uninformative uniform-distribution surrogate, for either sign.
+        surrogates = [PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
+                                        info={"top_eigenvalue": 0.0, "ell": ell})
+                      for _ in range(1 + negated)]
+    else:
+        v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
+        ends, steps = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL, bottom=negated)
+        # Negating every rhs negates A, so A's bottom Ritz pair, with its value
+        # negated, is the top one of the negated instance's matrix.
+        surrogates = []
+        for sign, (theta, v, residual) in zip((1, -1), ends):
+            top = sign * theta
+            if residual >= RITZ_RTOL * abs(top):
+                raise ConvergenceError(
+                    f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
+                    best_estimate=top, iterations=steps)
+            m2 = _unit_gram(kik.pair_gram(v))
+            surrogates.append(PseudoExpectation(n, np.zeros(n), m2, backend="kikuchi_spectral",
+                                                info={"top_eigenvalue": top, "ell": ell,
+                                                      "lanczos_steps": steps,
+                                                      "residual": residual}))
+    pe = surrogates[0]
+    if negated:
+        pe.negated = surrogates[1]
+    return pe
 
 
 def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: int,
-                             ell: int | None = None) -> PseudoExpectation:
+                             ell: int | None = None, negated: bool = False) -> PseudoExpectation:
     """Run one backend and return its validated surrogate.
 
-    ell is the kikuchi_spectral level, k/2 if None; the other backends ignore it.
-    The dense moments of sdp_basic and kikuchi_spectral are checked against
-    DEFAULT_MOMENT_BYTES before either allocates; brute has its own cap on n.
+    ell is the kikuchi_spectral level, k/2 if None. With negated=True,
+    kikuchi_spectral also returns in .negated the surrogate of inst with every
+    rhs negated, read off the bottom end of the same Lanczos run; it raises
+    ConvergenceError if either end misses the stop rule. The other backends
+    ignore ell and negated. The dense moments of sdp_basic and
+    kikuchi_spectral are checked against DEFAULT_MOMENT_BYTES before either
+    allocates; brute has its own cap on n.
     """
     if inst.m == 0:
         raise ParameterError("cannot build a surrogate from an empty instance")
@@ -294,8 +316,10 @@ def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: in
         if backend.kind == "sdp_basic":
             pe = _sdp_backend(inst, backend, seed)
         else:
-            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell)
+            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell, negated)
     pe.validate()
+    if pe.negated is not None:
+        pe.negated.validate()
     return pe
 
 

@@ -30,6 +30,7 @@ from .fourier import distribution_complexity, fourier_table, read_planting, writ
 from .instances import (
     CspPredicate,
     PlantingDistribution,
+    _first_line,
     atomic_write_text,
     check_eps,
     corr,
@@ -139,7 +140,7 @@ def _backend_from_args(args) -> BackendChoice:
 
 def _read_instance(path: str):
     with open(path, "rb") as f:
-        kind = f.readline().split()[:1]
+        kind = _first_line(f)[0].split()[:1]
     if kind == [b"xor"]:
         return read_xor(path)
     if kind == [b"csp"]:

@@ -417,9 +417,12 @@ def csp_values(inst: CspInstance, x: Assignment) -> tuple[float, float]:
     if inst.m == 0:
         raise ParameterError("value of an empty instance is undefined")
     padded = np.concatenate(([0], x)).astype(np.int8)
-    index = np.zeros(inst.m, dtype=np.intp)
+    # The narrowest unsigned type that holds k bits: uint8 up to arity 8.
+    dtype = np.min_scalar_type((1 << inst.k) - 1)
+    index = np.zeros(inst.m, dtype=dtype)
     for j in range(inst.k):
-        index |= (padded[inst.scopes[:, j]] != inst.negations[:, j]).astype(np.intp) << j
+        bit = padded[inst.scopes[:, j]] != inst.negations[:, j]
+        index |= bit.view(np.uint8).astype(dtype, copy=False) << j
     counts = np.bincount(index, minlength=1 << inst.k)
     table = inst.predicate.table
     return float(counts @ table) / inst.m, float(counts[::-1] @ table) / inst.m

@@ -265,18 +265,28 @@ def _basis_rows(steps: int, dim: int) -> int:
     return rows
 
 
-def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
-    """Top eigenpair of a symmetric operator by Lanczos with full reorthogonalization.
+def _ritz(alpha: np.ndarray, beta: np.ndarray, j: int, i: int):
+    """Ritz pair i (ascending) of the first j + 1 Lanczos steps: (theta, its
+    eigenvector of the tridiagonal, residual beta_j * |last entry|)."""
+    theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(i, i))
+    return float(theta[0]), s[:, 0], float(beta[j] * abs(s[-1, 0]))
 
-    Returns (theta, y, steps_taken, residual): the largest Ritz value, its unit
-    Ritz vector, the number of steps run and ||A y - theta y||. The run ends
-    after min(steps, dim) steps, on breakdown (the Krylov space is invariant
-    and theta is an eigenvalue), or once the residual is below rtol * |theta|;
-    rtol = 0 runs every step. The residual needs the tridiagonal eigenproblem,
-    so with rtol > 0 it is tested only every RITZ_STRIDE steps, at breakdown
-    and at the cap: steps_taken is a multiple of RITZ_STRIDE, the cap or a
-    breakdown, and a run that converges stops at most RITZ_STRIDE - 1 steps
-    later than a test on every step would. Basis rows a short run never
+
+def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float, bottom: bool = False):
+    """Extreme eigenpairs of a symmetric operator by Lanczos with full reorthogonalization.
+
+    Returns (ends, steps_taken). ends holds (theta, y, residual) for the top
+    Ritz pair and, with bottom=True, then for the bottom one: the Ritz value,
+    its unit Ritz vector and ||A y - theta y||. The run ends after
+    min(steps, dim) steps, on breakdown (the Krylov space is invariant and
+    each theta is an eigenvalue), or once every returned end's residual is
+    below rtol * |theta| of that end; rtol = 0 runs every step. The residuals
+    need the tridiagonal eigenproblem, so with rtol > 0 they are tested only
+    every RITZ_STRIDE steps, at breakdown and at the cap: steps_taken is a
+    multiple of RITZ_STRIDE, the cap or a breakdown, and a run that converges
+    stops at most RITZ_STRIDE - 1 steps later than a test on every step
+    would. Asking for the bottom end leaves the top end's arithmetic as it
+    is; it can only make the run longer. Basis rows a short run never
     reaches stay untouched. A basis over DEFAULT_BASIS_BYTES raises
     ResourceLimitError before it is allocated.
     """
@@ -295,12 +305,11 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
         scale = max(scale, abs(alpha[j]) + beta[j])
         done = beta[j] <= 1e-12 * scale or j + 1 == len(basis)
         if done or (rtol > 0 and (j + 1) % RITZ_STRIDE == 0):
-            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(j, j))
-            residual = float(beta[j] * abs(s[-1, 0]))
-            if done or residual < rtol * abs(theta[0]):
+            ends = [_ritz(alpha, beta, j, i) for i in ((j, 0) if bottom else (j,))]
+            if done or all(residual < rtol * abs(theta) for theta, _, residual in ends):
                 break
         basis[j + 1] = w / beta[j]
-    return float(theta[0]), q.T @ s[:, 0], j + 1, residual
+    return [(theta, q.T @ s, residual) for theta, s, residual in ends], j + 1
 
 
 def _certificate_steps(dim: int) -> int:
@@ -330,7 +339,7 @@ def spectral_norm(a: sp.spmatrix, seed: int = 0) -> tuple[float, int, float]:
     dim = a.shape[0]
     steps = _certificate_steps(dim)
     v0 = derived_rng(check_seed(seed), STREAM_SPECTRAL).standard_normal(dim)
-    theta, _, taken, residual = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
+    [(theta, _, residual)], taken = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
     return sqrt(max(theta, 0.0)), taken, residual
 
 

@@ -10,8 +10,14 @@ Arity 1 is plain per-variable majority; for odd arities the non-brute
 backends run on the first half's clauses paired into arity 2k.
 
 The CSP solver projects the instance onto XOR instances over position
-subsets (smallest subsets first), solves each side, and returns the first
-candidate that satisfies every clause.
+subsets (smallest subsets first) and returns the first candidate that
+satisfies every clause. The two sides of a subset s differ only in sign:
+the s- side is the s+ side with every rhs negated. So each subset runs
+stage 1 once and stage 2 once per sign. For odd |s| both signs vote from
+the same stage-1 signs, s- on the negated second half. For even |s| the
+negated side's Kikuchi matrix is -A, so one kikuchi_spectral run gives s+
+from the top of the spectrum and s- from the bottom; brute and sdp_basic
+solve the negated side separately.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import reduction
 from .approx_recovery import (
     BackendChoice,
     round_even_detail,
@@ -109,6 +116,50 @@ def _slice(inst: XorInstance, lo: int, hi: int) -> XorInstance:
     return XorInstance(inst.n, inst.k, inst.scopes[lo:hi], inst.rhs[lo:hi])
 
 
+def _negated(inst: XorInstance) -> XorInstance:
+    return XorInstance(inst.n, inst.k, inst.scopes, -inst.rhs)
+
+
+def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: int, stats: dict,
+            negated: bool = False):
+    """Stage 1 of a solve: (h2, x_hats), the second half and the stage-1 signs.
+
+    x_hats holds inst's signs and, with negated=True, then those of inst with
+    every rhs negated, from the same backend run (solve_pseudo_expectation's
+    negated). stats gets the split, the pairing, the backend info of inst's
+    surrogate and its rounding.
+    """
+    if inst.k == 1:
+        # An arity-1 vote is the clause's rhs whatever the assignment voted from.
+        return inst, [np.ones(inst.n, dtype=np.int8)]
+    h1_size = (inst.m + 1) // 2
+    h1 = _slice(inst, 0, h1_size)
+    h2 = _slice(inst, h1_size, inst.m)
+    stats["split"] = [h1.m, h2.m]
+
+    stage1 = h1
+    paired = inst.k % 2 == 1 and backend.kind != "brute"
+    if paired:
+        stage1 = pair_to_even(h1, seed)
+        if stage1.m == 0:
+            raise ParameterError("pairing produced no clauses; too few or overlapping scopes")
+        stats["paired_m"] = stage1.m
+    stats["paired"] = paired
+
+    pe = solve_pseudo_expectation(stage1, backend, seed, ell, negated)
+    stats["backend_info"] = dict(pe.info)
+    if backend.kind == "brute" and inst.k % 2 == 1:
+        stats["stage1_rounding"] = "first_moment_sign"
+        return h2, [round_odd(pe)]
+    x_hat, deltas, i_star = round_even_detail(pe)
+    stats["stage1_rounding"] = "row_consensus"
+    stats["delta_istar"] = float(deltas[i_star])
+    if negated:
+        stats["negated_backend_info"] = dict(pe.negated.info)
+        return h2, [x_hat, round_even_detail(pe.negated)[0]]
+    return h2, [x_hat]
+
+
 def solve_xor(
     inst: XorInstance,
     ell: int | None,
@@ -128,35 +179,8 @@ def solve_xor(
         raise ParameterError("ell must be >= 1")
     seed = check_seed(seed)
     stats: dict = {"n": inst.n, "k": inst.k, "m": inst.m, "backend": backend.kind}
-
-    if inst.k == 1:
-        # An arity-1 vote is the clause's rhs whatever the assignment voted from.
-        h2, x_hat = inst, np.ones(inst.n, dtype=np.int8)
-    else:
-        h1_size = (inst.m + 1) // 2
-        h1 = _slice(inst, 0, h1_size)
-        h2 = _slice(inst, h1_size, inst.m)
-        stats["split"] = [h1.m, h2.m]
-
-        stage1 = h1
-        paired = inst.k % 2 == 1 and backend.kind != "brute"
-        if paired:
-            stage1 = pair_to_even(h1, seed)
-            if stage1.m == 0:
-                raise ParameterError("pairing produced no clauses; too few or overlapping scopes")
-            stats["paired_m"] = stage1.m
-        stats["paired"] = paired
-
-        pe = solve_pseudo_expectation(stage1, backend, seed, ell)
-        stats["backend_info"] = dict(pe.info)
-
-        if backend.kind == "brute" and inst.k % 2 == 1:
-            x_hat = round_odd(pe)
-            stats["stage1_rounding"] = "first_moment_sign"
-        else:
-            x_hat, deltas, i_star = round_even_detail(pe)
-            stats["stage1_rounding"] = "row_consensus"
-            stats["delta_istar"] = float(deltas[i_star])
+    h2, (x_hat,) = _stage1(inst, ell, backend, seed, stats)
+    if inst.k > 1:
         stats["stage1_signs"] = x_hat.copy()
 
     # An empty h2 casts no vote, so the round returns x_hat unchanged.
@@ -174,6 +198,40 @@ def solve_xor(
     return report
 
 
+def _subset_outputs(psi: CspInstance, s: tuple, sign: int, ell: int | None,
+                    backend: BackendChoice, seeds: tuple[int, int], entry: dict):
+    """Yields the stage-2 output of side (s, sign), then that of (s, -sign).
+
+    seeds are the two signs' task seeds. Work for -sign waits until its
+    output is asked for. The (s, -sign) side is the (s, sign) side with
+    every rhs negated. For odd |s| it reuses the stage-1 signs and votes on
+    the negated h2. For even |s|, kikuchi_spectral reads both signs' stage-1
+    signs off one Lanczos run, and the other backends solve the negated
+    side afresh from its own seed. entry gets the level and each stage-1
+    surrogate's backend info.
+    """
+    # reduction.build_xor_side is looked up at call time: perfbench charges
+    # reduction.side_s by wrapping that module attribute.
+    side = reduction.build_xor_side(psi, s, sign)
+    sub_ell = ell if len(s) == psi.k else None
+    odd = len(s) % 2 == 1
+    two_ended = not odd and backend.kind == "kikuchi_spectral"
+    stats: dict = {}
+    h2, x_hats = _stage1(side, sub_ell, backend, seeds[0], stats, negated=two_ended)
+    entry["ell"] = stats.get("backend_info", {}).get("ell")
+    entry["stage1"] = [stats[key] for key in ("backend_info", "negated_backend_info")
+                       if key in stats]
+    yield majority_round_detail(h2, x_hats[0])[0]
+    if odd or two_ended:
+        # Odd |s| votes from its one x_hat; a two-ended run gave the negated side its own.
+        yield majority_round_detail(_negated(h2), x_hats[-1])[0]
+    else:
+        stats = {}
+        h2, x_hats = _stage1(_negated(side), sub_ell, backend, seeds[1], stats)
+        entry["stage1"].append(stats["backend_info"])
+        yield majority_round_detail(h2, x_hats[0])[0]
+
+
 def solve_csp(
     psi: CspInstance,
     ell: int | None,
@@ -184,16 +242,36 @@ def solve_csp(
 ) -> SolveReport:
     """Reduce to XOR over position subsets and return a satisfying assignment.
 
-    Subsets are tried smallest-first (then lexicographically), positive sign
-    before negative, and each sub-solve output is checked together with its
-    negation; the first candidate of value 1 is returned. If none reaches
-    value 1 the best candidate is returned with stats["no_perfect_candidate"]
-    set. Passing the planting distribution q switches to the fast path that
-    tries the distribution-complexity witness with its coefficient sign
-    first; if neither of its candidates has value 1, the remaining tasks
-    follow in the usual order. A kikuchi_spectral ell, which reaches only the
-    full side, is checked against that side's lift, and q against the CSP's
-    arity, before any side runs.
+    The tasks are the (subset, sign) pairs: subsets smallest-first (then
+    lexicographically), positive sign before negative. Passing the planting
+    distribution q switches to the fast path, which moves the
+    distribution-complexity witness with its coefficient sign to the front;
+    the other tasks keep their order, so the witness's other sign comes at
+    its usual place. Each task's output is checked together with its
+    negation, and the first candidate of value 1 is returned. If none
+    reaches value 1 the best candidate is returned with
+    stats["no_perfect_candidate"] set.
+
+    A subset's first task runs its stage 1 (see the module docstring), seeded
+    with cell_seed(seed, "csp_task", i) for that task's index i; the other
+    sign reuses the run, except that brute and sdp_basic on an even subset
+    solve it apart with its own task's seed. A task's output is:
+    - odd |s|: one majority round on the side's second half from the shared
+      stage-1 signs; for s- that half has every rhs negated;
+    - even |s|, kikuchi_spectral: the round from the rounded top Ritz vector
+      of the s+ matrix for s+, and from its bottom one for s-, both from one
+      Lanczos run that stops once both ends converge;
+    - even |s|, brute and sdp_basic: solve_xor's output on that side.
+    stats["tasks"] has one entry per subset tried: its signs and task
+    indices in the order tried, the candidate values of each sign, the
+    level ell of a Kikuchi run (None for other sides) and, in "stage1", the
+    backend info of each stage-1 surrogate: one for odd |s| > 1, one per
+    sign for even |s|. A Kikuchi surrogate's info has the top eigenvalue of
+    its own sign's matrix (-A for s-), the Lanczos steps and the residual.
+
+    A kikuchi_spectral ell, which reaches only the full side, is checked
+    against that side's lift, and q against the CSP's arity, before any side
+    runs.
     """
     if psi.m == 0:
         raise ParameterError("cannot solve an empty instance")
@@ -226,25 +304,31 @@ def solve_csp(
                 first = (tuple(sorted(witness)), 1 if coeff >= 0 else -1)
                 tasks = [first] + [t for t in tasks if t != first]
 
-        # Imported here, not at the top: perfbench charges reduction.side_s by
-        # wrapping rpcsp.reduction.build_xor_side, and a top-level import would
-        # bind the unwrapped function and silently zero that layer.
-        from .reduction import build_xor_side
-
-        # At most 2(2^k - 1) tasks of two candidates each: fewer than 2^(k+2).
+        # One log entry and one output generator per subset, made at the
+        # subset's first task; the run shared by both signs takes that task's
+        # seed. Both signs' tasks keep their place, so the candidate order and
+        # the seed of each sign's own run are those of one solve per task.
+        index = {task: ti for ti, task in enumerate(tasks)}
         task_log: list[dict] = []
+        outputs: dict = {}
         best_val, best = -1.0, None
         for ti, (s, sign) in enumerate(tasks):
-            side = build_xor_side(psi, s, sign)
-            sub_ell = ell if len(s) == k else None
-            rep = solve_xor(side, sub_ell, backend, cell_seed(seed, "csp_task", ti))
-            # The level this side's Kikuchi backend ran at; None for other sides.
-            entry = {"s": list(s), "sign": sign,
-                     "ell": rep.stats.get("backend_info", {}).get("ell"), "values": []}
-            task_log.append(entry)
-            for cand, v in zip((rep.output, -rep.output), csp_values(psi, rep.output)):
+            if s not in outputs:
+                entry = {"s": list(s), "signs": [], "task_index": [], "values": []}
+                task_log.append(entry)
+                seeds = (cell_seed(seed, "csp_task", ti),
+                         cell_seed(seed, "csp_task", index[(s, -sign)]))
+                outputs[s] = (entry, _subset_outputs(psi, s, sign, ell, backend, seeds, entry))
+            entry, gen = outputs[s]
+            out = next(gen)
+            entry["signs"].append(sign)
+            entry["task_index"].append(ti)
+            values: list[float] = []
+            entry["values"].append(values)
+            # At most 2(2^k - 1) signs of two candidates each: fewer than 2^(k+2).
+            for cand, v in zip((out, -out), csp_values(psi, out)):
                 candidates.append(cand)
-                entry["values"].append(v)
+                values.append(v)
                 if v > best_val:
                     best_val, best = v, cand
                 if v == 1.0:

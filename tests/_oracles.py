@@ -8,10 +8,21 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
-from rpcsp import CspInstance, CspPredicate, FormatError, ParameterError, XorInstance, clean
-from rpcsp.kikuchi import KikuchiMatrix
-from rpcsp.rng import STREAM_PAIRING, derived_rng
+from rpcsp import (
+    CspInstance,
+    CspPredicate,
+    FormatError,
+    ParameterError,
+    XorInstance,
+    clean,
+    solve_xor,
+)
+from rpcsp.fourier import distribution_complexity, fourier_table
+from rpcsp.kikuchi import RITZ_STRIDE, KikuchiMatrix
+from rpcsp.reduction import build_xor_side
+from rpcsp.rng import STREAM_PAIRING, cell_seed, derived_rng
 
 
 def enumerate_assignments(n):
@@ -400,3 +411,66 @@ def naive_read_assignment(path):
     if not np.isin(vals, (-1, 1)).all():
         raise FormatError("assignment entries must be +-1")
     return vals.astype(np.int8)
+
+
+def top_lanczos(matvec, dim, v0, steps, rtol):
+    """The top Ritz pair alone by Lanczos with full reorthogonalization.
+
+    Returns (theta, y, steps_taken, residual), stopping as _lanczos does for
+    its top end: after min(steps, dim) steps, on breakdown, or once the
+    residual, tested every RITZ_STRIDE steps when rtol > 0, is below
+    rtol * |theta|. A _lanczos run that asks for the top end alone must
+    return exactly what this loop returns, bit for bit.
+    """
+    basis = np.empty((min(steps, dim), dim))
+    alpha = np.zeros(len(basis))
+    beta = np.zeros(len(basis))
+    basis[0] = v0 / np.linalg.norm(v0)
+    scale = 0.0
+    for j in range(len(basis)):
+        q = basis[: j + 1]
+        w = matvec(q[j])
+        alpha[j] = q[j] @ w
+        for _ in range(2):
+            w -= q.T @ (q @ w)
+        beta[j] = np.linalg.norm(w)
+        scale = max(scale, abs(alpha[j]) + beta[j])
+        done = beta[j] <= 1e-12 * scale or j + 1 == len(basis)
+        if done or (rtol > 0 and (j + 1) % RITZ_STRIDE == 0):
+            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(j, j))
+            residual = float(beta[j] * abs(s[-1, 0]))
+            if done or residual < rtol * abs(theta[0]):
+                break
+        basis[j + 1] = w / beta[j]
+    return float(theta[0]), q.T @ s[:, 0], j + 1, residual
+
+
+def per_task_csp_solve(psi, ell, backend, seed, q=None):
+    """solve_csp as one solve_xor per (subset, sign) task.
+
+    Tasks are the (subset, sign) pairs, subsets smallest first and + before
+    -, with q's distribution-complexity witness and its coefficient sign
+    moved to the front. Task i solves build_xor_side(psi, s, sign) with
+    seed cell_seed(seed, "csp_task", i), and its output and the negation are
+    scored in turn until one has value 1. Returns the candidates in order
+    and, per task run, (s, sign, index, the solve_xor report).
+    """
+    tasks = [(s, sign) for r in range(1, psi.k + 1)
+             for s in itertools.combinations(range(1, psi.k + 1), r) for sign in (1, -1)]
+    if q is not None:
+        _, witness = distribution_complexity(q)
+        if witness is not None:
+            coeff = fourier_table(q).coefficient(witness)
+            first = (tuple(sorted(witness)), 1 if coeff >= 0 else -1)
+            tasks = [first] + [t for t in tasks if t != first]
+    candidates, runs = [], []
+    for i, (s, sign) in enumerate(tasks):
+        sub_ell = ell if len(s) == psi.k else None
+        rep = solve_xor(build_xor_side(psi, s, sign), sub_ell, backend,
+                        cell_seed(seed, "csp_task", i))
+        runs.append((s, sign, i, rep))
+        for cand in (rep.output, -rep.output):
+            candidates.append(cand)
+            if naive_csp_value(psi, cand) == 1.0:
+                return candidates, runs
+    return candidates, runs

@@ -65,13 +65,21 @@ def test_traced_solves_record_every_stage_and_score_once():
 
 
 def test_traced_csp_solve_records_one_side_span_per_task():
-    # solve_csp looks build_xor_side up in rpcsp.reduction at call time, where it is wrapped.
-    pred = CspPredicate.k_sat(3)
+    # solve_csp looks build_xor_side up in rpcsp.reduction at call time, where
+    # it is wrapped. It builds one side per subset, whose log entry holds both
+    # signs' tasks. Parity carries no signal below the full subset, so the
+    # solve goes through all 7 subsets and ends at the 13th task, (1, 2, 3)+.
+    pred = CspPredicate.k_xor(3)
     psi = sample_planted_csp(random_assignment(12, 3), 300, pred,
                              PlantingDistribution.uniform_satisfying(pred), 3)
     report, spans = _traced(lambda: rpcsp.solver.solve_csp(psi, None, BackendChoice.brute(), 0))
-    assert len(report.stats["tasks"]) >= 2
+    tasks = [i for t in report.stats["tasks"] for i in t["task_index"]]
+    assert (len(report.stats["tasks"]), len(tasks)) == (7, 13)
     assert spans["reduction.side_s"] == len(report.stats["tasks"]), spans
+    for name in ("approx_recovery.backend_s", "approx_recovery.round_s",
+                 "exact_rounding.majority_s"):
+        assert spans[name] >= 1, f"no {name} span in {spans}"
+    assert spans["exact_rounding.majority_s"] == len(tasks), spans
 
 
 def test_traced_refute_records_one_build_and_one_norm():

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -17,9 +18,9 @@ from rpcsp import (
     solve_csp,
     value,
 )
-from rpcsp.cli import MANIFEST_SCHEMA, SWEEP_SCHEMA, cli_main, eval_m_rule
+from rpcsp.cli import MANIFEST_SCHEMA, SWEEP_SCHEMA, _read_instance, cli_main, eval_m_rule
 from rpcsp.fourier import write_planting
-from rpcsp.instances import read_assignment, read_csp, read_xor, write_xor
+from rpcsp.instances import _READ_BLOCK, read_assignment, read_csp, read_xor, write_xor
 from rpcsp.kikuchi import CERT_TOL, build_kikuchi
 
 
@@ -111,6 +112,27 @@ def test_solve_xor_round_trip(tmp_path):
     assert np.array_equal(got, planted) or np.array_equal(got, -planted)
 
 
+def test_instance_sniff_reads_one_line_of_a_carriage_return_file(tmp_path):
+    # 200,000 clauses (2.1 MB) with \r line endings: a sniff that reads to the
+    # first \n holds the whole file as its header, split into 800,000 tokens.
+    rng = np.random.default_rng(3)
+    inst = XorInstance(50, 3, rng.integers(1, 51, size=(200_000, 3)),
+                       rng.choice(np.array([-1, 1], np.int8), size=200_000))
+    path = tmp_path / "cr.xor"
+    write_xor(inst, str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    assert b"\n" not in path.read_bytes()
+    tracemalloc.start()
+    try:
+        got = _read_instance(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got.scopes, inst.scopes) and np.array_equal(got.rhs, inst.rhs)
+    # The reader's own bound: its output plus a few blocks.
+    assert peak <= got.scopes.nbytes + got.rhs.nbytes + 12 * _READ_BLOCK
+
+
 def test_solve_runs_each_csp_side_at_the_level_solve_csp_picks(tmp_path):
     # --ell is the full side's level; the arity-2 sides run at their default, 1.
     gen = str(tmp_path / "g")
@@ -122,7 +144,7 @@ def test_solve_runs_each_csp_side_at_the_level_solve_csp_picks(tmp_path):
     report = json.loads((tmp_path / "s.report.json").read_text())
     api = solve_csp(read_csp(gen + ".csp"), 3, BackendChoice.kikuchi_spectral(), 5)
     levels = [t["ell"] for t in report["stats"]["tasks"]]
-    assert levels == [t["ell"] for t in api.stats["tasks"]] == [None] * 6 + [1] * 6 + [3]
+    assert levels == [t["ell"] for t in api.stats["tasks"]] == [None] * 3 + [1] * 3 + [3]
     assert report["stats"]["tasks"] == api.stats["tasks"]
     assert report["backend"] == asdict(BackendChoice.kikuchi_spectral())
 

@@ -422,7 +422,10 @@ def test_csp_value_matches_naive_predicate_loop():
     CspPredicate.k_sat(3),
     CspPredicate.from_hex(3, "5c"),
     CspPredicate.from_hex(4, "e8d1"),
-], ids=lambda p: f"k{p.k}-{p.to_hex()}")
+    # Pattern indices of arity 8 fill a uint8; those of arity 9 need a uint16.
+    CspPredicate(8, np.arange(256) % 3 == 0),
+    CspPredicate(9, np.arange(512) % 5 < 2),
+], ids=lambda p: f"k{p.k}-{p.to_hex()[:8]}")
 def test_csp_values_of_both_signs_match_the_per_clause_oracle(pred):
     rng = derived_rng(cell_seed(52, "csp_values", pred.to_hex()), pred.k)
     n, m = 9, 300

@@ -14,6 +14,7 @@ from _oracles import (
     lexsort_kikuchi,
     naive_kikuchi,
     naive_pair_gram,
+    top_lanczos,
 )
 from rpcsp import (
     BackendChoice,
@@ -29,16 +30,19 @@ from rpcsp import (
     solve_xor,
     spectral_norm,
 )
+from rpcsp.approx_recovery import RITZ_RTOL
 from rpcsp.kikuchi import (
     CERT_TOL,
     DEFAULT_BASIS_BYTES,
     DEFAULT_ENTRY_CAP,
     DEFAULT_VERTEX_CAP,
+    RITZ_STRIDE,
     KikuchiMatrix,
     all_subsets,
     refute_report,
     subset_rank,
     _comb_table,
+    _lanczos,
     _union_rank,
 )
 from rpcsp.rng import cell_seed, derived_rng
@@ -323,6 +327,57 @@ def test_spectral_solve_and_norm_multiply_the_built_matrix_without_a_copy(monkey
     assert copies == []
     kik.matrix.astype(np.int32)  # the recorder sees a real copy
     assert copies == [(kik.matrix.shape, np.int32)]
+
+
+def _lanczos_case(name):
+    """A 60 x 60 symmetric matrix: random, mostly negative, or with four eigenvalues."""
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((60, 60))
+    a = (g + g.T) / 2
+    if name == "bottom-heavy":
+        a -= 4.0 * np.eye(60)  # spectrum about [-15, 7]: |lambda_min| > lambda_max
+    elif name == "breakdown":
+        # Four distinct eigenvalues: the Krylov space is invariant after 4 steps.
+        q, _ = np.linalg.qr(a)
+        a = (q * np.repeat([-3.0, -1.0, 2.0, 5.0], 15)) @ q.T
+    return a
+
+
+LANCZOS_CASES = ["random", "bottom-heavy", "breakdown"]
+
+
+@pytest.mark.parametrize("name", LANCZOS_CASES)
+def test_two_ended_lanczos_finds_both_ends_of_the_spectrum(name):
+    a = _lanczos_case(name)
+    v0 = np.random.default_rng(12).standard_normal(60)
+    ends, steps = _lanczos(a.dot, 60, v0, 200, RITZ_RTOL, bottom=True)
+    eigs = np.linalg.eigvalsh(a)
+    (top, _, _), (bottom, _, _) = ends
+    assert top == pytest.approx(eigs[-1], rel=1e-9)
+    assert bottom == pytest.approx(eigs[0], rel=1e-9)
+    if name == "bottom-heavy":
+        assert abs(bottom) > top > 0
+    for theta, y, residual in ends:
+        assert residual < RITZ_RTOL * abs(theta)  # the stop rule, at each end
+        assert np.linalg.norm(y) == pytest.approx(1.0)
+        assert abs(np.linalg.norm(a @ y - theta * y) - residual) < 1e-9 * abs(theta)
+    if name == "breakdown":
+        assert steps == 4
+    else:
+        assert steps % RITZ_STRIDE == 0 or steps == 60
+    # The top end alone stops no later.
+    assert _lanczos(a.dot, 60, v0, 200, RITZ_RTOL)[1] <= steps
+
+
+@pytest.mark.parametrize("name", LANCZOS_CASES)
+@pytest.mark.parametrize("rtol", [RITZ_RTOL, 0.0])
+def test_single_end_lanczos_matches_the_top_end_loop_bit_for_bit(name, rtol):
+    a = _lanczos_case(name)
+    v0 = np.random.default_rng(13).standard_normal(60)
+    [(theta, y, residual)], steps = _lanczos(a.dot, 60, v0, 200, rtol)
+    want_theta, want_y, want_steps, want_residual = top_lanczos(a.dot, 60, v0, 200, rtol)
+    assert (theta, steps, residual) == (want_theta, want_steps, want_residual)
+    assert np.array_equal(y, want_y)
 
 
 def test_lanczos_basis_cap_raises_before_the_basis_exists():

@@ -1,11 +1,12 @@
 """Tests for the two-stage XOR solver, arity pairing, and the CSP driver."""
 import numpy as np
 import pytest
-from _oracles import greedy_pair_to_even, naive_majority_detail
+from _oracles import greedy_pair_to_even, naive_majority_detail, per_task_csp_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rpcsp.exact_rounding
+import rpcsp.reduction
 import rpcsp.solver
 from rpcsp import (
     BackendChoice,
@@ -23,8 +24,10 @@ from rpcsp import (
     solve_xor,
     value,
 )
+from rpcsp.approx_recovery import RITZ_RTOL
 from rpcsp.exact_rounding import majority_round_detail
 from rpcsp.instances import clean
+from rpcsp.kikuchi import build_kikuchi
 from rpcsp.reduction import build_xor_side
 from rpcsp.rng import cell_seed, derived_rng
 
@@ -364,9 +367,9 @@ def test_solve_csp_flags_unsatisfiable_projection():
 def test_solve_csp_task_log_tracks_candidates():
     _, _, x, psi = _sat3_setup(30, 9000, 15)
     rep = solve_csp(psi, None, BackendChoice.sdp_basic(), 15, planted=x)
-    logged = sum(len(t["values"]) for t in rep.stats["tasks"])
-    assert logged == len(rep.candidates)
-    assert max(v for t in rep.stats["tasks"] for v in t["values"]) == rep.stats["value"]
+    logged = [v for t in rep.stats["tasks"] for values in t["values"] for v in values]
+    assert len(logged) == len(rep.candidates)
+    assert max(logged) == rep.stats["value"]
 
 
 def test_solve_csp_value_dominates_all_logged_candidates():
@@ -379,7 +382,7 @@ def test_solve_csp_value_dominates_all_logged_candidates():
     rep = solve_csp(mixed, None, BackendChoice.brute(), 21)
     assert rep.stats["no_perfect_candidate"] is True
     for task in rep.stats["tasks"]:
-        assert all(v <= rep.stats["value"] + 1e-12 for v in task["values"])
+        assert all(v <= rep.stats["value"] + 1e-12 for values in task["values"] for v in values)
     assert value(mixed, rep.output) == rep.stats["value"]
 
 
@@ -389,8 +392,89 @@ def test_solve_csp_matched_planted_semantics():
     assert rep.matched_planted is True
     assert value(psi, rep.output) == 1.0
     # the witness task falls short of value 1 here, so the fast path goes on
-    # to the other tasks, each tried once
-    tasks = [(tuple(t["s"]), t["sign"]) for t in rep.stats["tasks"]]
+    # to the other tasks, each tried once; the witness subset, logged first,
+    # has its other sign at that sign's usual place
+    subsets = [tuple(t["s"]) for t in rep.stats["tasks"]]
+    tasks = [(tuple(t["s"]), sign) for t in rep.stats["tasks"] for sign in t["signs"]]
+    indices = sorted(i for t in rep.stats["tasks"] for i in t["task_index"])
     assert rep.stats["fast_path"] is True
-    assert max(rep.stats["tasks"][0]["values"]) < 1.0
+    assert max(rep.stats["tasks"][0]["values"][0]) < 1.0
+    assert rep.stats["tasks"][0]["task_index"][0] == 0
     assert len(tasks) > 1 and len(set(tasks)) == len(tasks)
+    assert len(set(subsets)) == len(subsets) and indices == list(range(len(tasks)))
+
+
+def _mixed_csp(pred, n, m, seeds):
+    """Planted CSPs of one predicate, one per seed, stacked into one instance."""
+    q = PlantingDistribution.uniform_satisfying(pred)
+    parts = [sample_planted_csp(random_assignment(n, s), m, pred, q, s) for s in seeds]
+    return CspInstance(n, pred, np.vstack([p.scopes for p in parts]),
+                       np.vstack([p.negations for p in parts]))
+
+
+def _halves(side):
+    h = (side.m + 1) // 2
+    return (XorInstance(side.n, side.k, side.scopes[:h], side.rhs[:h]),
+            XorInstance(side.n, side.k, side.scopes[h:], side.rhs[h:]))
+
+
+@pytest.mark.parametrize("pred,backend", [
+    (CspPredicate.k_sat(3), BackendChoice.brute()),
+    (CspPredicate.k_xor(3), BackendChoice.brute()),
+    (CspPredicate.k_sat(2), BackendChoice.sdp_basic()),
+    (CspPredicate.k_xor(2), BackendChoice.sdp_basic()),
+], ids=lambda v: getattr(v, "kind", None) or f"k{v.k}-{v.to_hex()}")
+def test_solve_csp_candidates_match_one_solve_per_task(monkeypatch, pred, backend):
+    # Two plants mixed: no candidate reaches value 1, so every task runs.
+    psi = _mixed_csp(pred, 14, 150, (21, 22))
+    sides = []
+
+    def counting_side(*args):
+        sides.append(args[1:])
+        return build_xor_side(*args)
+
+    monkeypatch.setattr(rpcsp.reduction, "build_xor_side", counting_side)
+    rep = solve_csp(psi, None, backend, 21)
+    want, runs = per_task_csp_solve(psi, None, backend, 21)
+    assert rep.stats["no_perfect_candidate"] is True
+    assert len(rep.candidates) == len(want) == 4 * (2 ** pred.k - 1)
+    # One side build per subset, with the sign tried first.
+    assert sides == [(s, 1) for s, sign, _, _ in runs if sign == 1]
+    plus = {}
+    for s, sign, i, task in runs:
+        expected = task.output
+        if len(s) > 1 and len(s) % 2 == 1 and s in plus:
+            # The odd side's s- votes on its negated second half from the s+ stage-1 signs.
+            _, h2 = _halves(build_xor_side(psi, s, sign))
+            expected = majority_round_detail(h2, plus[s].stats["stage1_signs"])[0]
+        plus.setdefault(s, task)
+        assert np.array_equal(rep.candidates[2 * i], expected), (s, sign)
+        assert np.array_equal(rep.candidates[2 * i + 1], -expected), (s, sign)
+    logged = [(tuple(t["s"]), sign, i) for t in rep.stats["tasks"]
+              for sign, i in zip(t["signs"], t["task_index"])]
+    assert logged == [(s, sign, i) for s, sign, i, _ in runs]
+
+
+def test_solve_csp_reads_both_signs_of_an_even_side_off_one_kikuchi_run():
+    pred = CspPredicate.k_xor(3)
+    psi = sample_planted_csp(random_assignment(16, 5), 6000, pred,
+                             PlantingDistribution.uniform_satisfying(pred), 5)
+    rep = solve_csp(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    want, runs = per_task_csp_solve(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    assert rep.stats["value"] == 1.0
+    # Here every candidate, the even sides' s- ones included, is the one a
+    # solve per task gives, though s- starts Lanczos from s+'s seed.
+    assert len(rep.candidates) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(rep.candidates, want))
+    even = [t for t in rep.stats["tasks"] if len(t["s"]) == 2]
+    assert len(even) == 3
+    for t in even:
+        assert t["signs"] == [1, -1] and t["ell"] == 1
+        top, neg = t["stage1"]
+        h1, _ = _halves(build_xor_side(psi, tuple(t["s"]), 1))
+        eigs = np.linalg.eigvalsh(build_kikuchi(h1, 1).matrix.toarray())
+        assert top["lanczos_steps"] == neg["lanczos_steps"]
+        assert top["top_eigenvalue"] == pytest.approx(eigs[-1], rel=1e-9)
+        assert neg["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-9)
+        for info in (top, neg):
+            assert info["residual"] < RITZ_RTOL * abs(info["top_eigenvalue"])
