@@ -308,18 +308,22 @@ def solve_csp(
         # subset's first task; the run shared by both signs takes that task's
         # seed. Both signs' tasks keep their place, so the candidate order and
         # the seed of each sign's own run are those of one solve per task.
+        # A generator waits in pending until its second task, then goes, and
+        # the side it holds with it.
         index = {task: ti for ti, task in enumerate(tasks)}
         task_log: list[dict] = []
-        outputs: dict = {}
+        pending: dict = {}
         best_val, best = -1.0, None
         for ti, (s, sign) in enumerate(tasks):
-            if s not in outputs:
+            if s in pending:
+                entry, gen = pending.pop(s)
+            else:
                 entry = {"s": list(s), "signs": [], "task_index": [], "values": []}
                 task_log.append(entry)
                 seeds = (cell_seed(seed, "csp_task", ti),
                          cell_seed(seed, "csp_task", index[(s, -sign)]))
-                outputs[s] = (entry, _subset_outputs(psi, s, sign, ell, backend, seeds, entry))
-            entry, gen = outputs[s]
+                gen = _subset_outputs(psi, s, sign, ell, backend, seeds, entry)
+                pending[s] = (entry, gen)
             out = next(gen)
             entry["signs"].append(sign)
             entry["task_index"].append(ti)
