@@ -271,7 +271,7 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
         # No usable clauses: the uninformative uniform-distribution surrogate, for either sign.
         surrogates = [PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
                                         info={"top_eigenvalue": 0.0, "ell": ell})
-                      for _ in range(1 + negated)]
+                      for _ in range(2 if negated else 1)]
     else:
         v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
         ends, steps = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL, bottom=negated)
