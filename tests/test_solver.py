@@ -453,6 +453,12 @@ def test_solve_csp_candidates_match_one_solve_per_task(monkeypatch, pred, backen
     logged = [(tuple(t["s"]), sign, i) for t in rep.stats["tasks"]
               for sign, i in zip(t["signs"], t["task_index"])]
     assert logged == [(s, sign, i) for s, sign, i, _ in runs]
+    # Each stage-1 run is the one-solve-per-task run of its seed: an even
+    # subset's two, an odd subset's s+ one, and none at arity 1.
+    for t in rep.stats["tasks"]:
+        infos = [task.stats["backend_info"] for s, _, _, task in runs
+                 if s == tuple(t["s"]) and "backend_info" in task.stats]
+        assert t["stage1"] == (infos if len(t["s"]) % 2 == 0 else infos[:1])
 
 
 def test_solve_csp_reads_both_signs_of_an_even_side_off_one_kikuchi_run():
@@ -478,3 +484,21 @@ def test_solve_csp_reads_both_signs_of_an_even_side_off_one_kikuchi_run():
         assert neg["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-9)
         for info in (top, neg):
             assert info["residual"] < RITZ_RTOL * abs(info["top_eigenvalue"])
+
+
+@pytest.mark.parametrize("backend", [BackendChoice.brute(), BackendChoice.sdp_basic()],
+                         ids=lambda b: b.kind)
+def test_solve_csp_fast_path_candidates_match_one_solve_per_task(backend):
+    # Literal 2 is true in every accepted pattern, so the witness is (2,)+.
+    # Two plants mixed: no candidate reaches value 1 and every task runs, the
+    # witness first and its other sign at its usual place, after (1,)+-.
+    pred = CspPredicate(2, np.array([1, 1, 0, 0]))
+    q = PlantingDistribution.uniform_satisfying(pred)
+    psi = _mixed_csp(pred, 14, 150, (21, 22))
+    rep = solve_csp(psi, None, backend, 21, q=q)
+    want, runs = per_task_csp_solve(psi, None, backend, 21, q=q)
+    assert [(s, sign) for s, sign, _, _ in runs][:4] == [((2,), 1), ((1,), 1), ((1,), -1), ((2,), -1)]
+    assert len(rep.candidates) == len(want) == 12
+    assert all(np.array_equal(a, b) for a, b in zip(rep.candidates, want))
+    assert [(t["s"], t["signs"], t["task_index"]) for t in rep.stats["tasks"]] == [
+        ([2], [1, -1], [0, 3]), ([1], [1, -1], [1, 2]), ([1, 2], [1, -1], [4, 5])]
