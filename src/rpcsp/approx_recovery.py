@@ -17,14 +17,16 @@ PseudoExpectation.validate checks them after every solve:
   float64 matrix build_kikuchi returns, multiplied as built with no copy,
   averaged back down to an n x n Gram matrix (KikuchiMatrix.pair_gram) and
   normalized to unit diagonal, so no projection, with mu1 = 0. Negating
-  every rhs negates the matrix, so the bottom eigenvector of the same run
-  gives the surrogate of the negated instance when a caller asks for it.
+  every rhs negates the matrix, so the bottom end of the same Lanczos run,
+  continued only when asked for (PseudoExpectation.negated), gives the
+  surrogate of the instance with every rhs negated.
 
 The zero mu1 of the non-brute backends is deliberate: the global sign is
 unidentifiable there and the solver resolves it in its second stage.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -85,9 +87,10 @@ class PseudoExpectation:
     m2: np.ndarray
     backend: str
     info: dict = field(default_factory=dict)
-    # The surrogate of the same instance with every rhs negated, when the
-    # run that made this one gave it too (see solve_pseudo_expectation).
-    negated: PseudoExpectation | None = None
+    # kikuchi_spectral only: a function of no arguments that returns the
+    # validated surrogate of the same instance with every rhs negated.
+    negated: Callable[[], PseudoExpectation] | None = field(default=None, repr=False,
+                                                            compare=False)
 
     def validate(self):
         mu1 = np.asarray(self.mu1, dtype=np.float64)
@@ -261,7 +264,7 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
 
 
 def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
-                     ell: int, negated: bool) -> PseudoExpectation:
+                     ell: int) -> PseudoExpectation:
     if inst.k % 2 != 0:
         raise UnsupportedConfigError(f"kikuchi_spectral needs even arity, got k={inst.k}")
     kik = build_kikuchi(inst, ell)
@@ -269,43 +272,50 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
     dim = kik.num_vertices
     if kik.matrix.nnz == 0:
         # No usable clauses: the uninformative uniform-distribution surrogate, for either sign.
-        surrogates = [PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
-                                        info={"top_eigenvalue": 0.0, "ell": ell})
-                      for _ in range(2 if negated else 1)]
-    else:
-        v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
-        ends, steps = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL, bottom=negated)
-        # Negating every rhs negates A, so A's bottom Ritz pair, with its value
-        # negated, is the top one of the negated instance's matrix.
-        surrogates = []
-        for sign, (theta, v, residual) in zip((1, -1), ends):
-            top = sign * theta
-            if residual >= RITZ_RTOL * abs(top):
-                raise ConvergenceError(
-                    f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
-                    best_estimate=top, iterations=steps)
-            m2 = _unit_gram(kik.pair_gram(v))
-            surrogates.append(PseudoExpectation(n, np.zeros(n), m2, backend="kikuchi_spectral",
-                                                info={"top_eigenvalue": top, "ell": ell,
-                                                      "lanczos_steps": steps,
-                                                      "residual": residual}))
-    pe = surrogates[0]
-    if negated:
-        pe.negated = surrogates[1]
+        def uniform():
+            return PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
+                                     info={"top_eigenvalue": 0.0, "ell": ell})
+        pe = uniform()
+        pe.negated = uniform
+        return pe
+    v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
+    run = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL)
+
+    def surrogate(sign: int) -> PseudoExpectation:
+        # The next end of the run: the top one, then the bottom one, whose
+        # value, negated, is the top eigenvalue of the negated instance's -A.
+        theta, v, steps, residual = next(run)
+        top = sign * theta
+        if residual >= RITZ_RTOL * abs(top):
+            raise ConvergenceError(f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
+                                   best_estimate=top, iterations=steps)
+        m2 = _unit_gram(kik.pair_gram(v))
+        return PseudoExpectation(n, np.zeros(n), m2, backend="kikuchi_spectral",
+                                 info={"top_eigenvalue": top, "ell": ell,
+                                       "lanczos_steps": steps, "residual": residual})
+
+    def negated() -> PseudoExpectation:
+        neg = surrogate(-1)
+        neg.validate()
+        return neg
+
+    pe = surrogate(1)
+    pe.negated = negated
     return pe
 
 
 def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: int,
-                             ell: int | None = None, negated: bool = False) -> PseudoExpectation:
+                             ell: int | None = None) -> PseudoExpectation:
     """Run one backend and return its validated surrogate.
 
-    ell is the kikuchi_spectral level, k/2 if None. With negated=True,
-    kikuchi_spectral also returns in .negated the surrogate of inst with every
-    rhs negated, read off the bottom end of the same Lanczos run; it raises
-    ConvergenceError if either end misses the stop rule. The other backends
-    ignore ell and negated. The dense moments of sdp_basic and
-    kikuchi_spectral are checked against DEFAULT_MOMENT_BYTES before either
-    allocates; brute has its own cap on n.
+    ell is the kikuchi_spectral level, k/2 if None; the other backends ignore it.
+    A kikuchi_spectral surrogate's negated() gives that of inst with every
+    rhs negated: it resumes the Lanczos run at the step the top end stopped
+    at, until the bottom end meets the stop rule, and raises
+    ConvergenceError if it misses it at the cap. Until then the run does
+    nothing past the top end.
+    The dense moments of sdp_basic and kikuchi_spectral are checked against
+    DEFAULT_MOMENT_BYTES before either allocates; brute has its own cap on n.
     """
     if inst.m == 0:
         raise ParameterError("cannot build a surrogate from an empty instance")
@@ -316,10 +326,8 @@ def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: in
         if backend.kind == "sdp_basic":
             pe = _sdp_backend(inst, backend, seed)
         else:
-            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell, negated)
+            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell)
     pe.validate()
-    if pe.negated is not None:
-        pe.negated.validate()
     return pe
 
 

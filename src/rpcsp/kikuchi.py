@@ -265,36 +265,30 @@ def _basis_rows(steps: int, dim: int) -> int:
     return rows
 
 
-def _ritz(alpha: np.ndarray, beta: np.ndarray, j: int, i: int):
-    """Ritz pair i (ascending) of the first j + 1 Lanczos steps: (theta, its
-    eigenvector of the tridiagonal, residual beta_j * |last entry|)."""
-    theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i", select_range=(i, i))
-    return float(theta[0]), s[:, 0], float(beta[j] * abs(s[-1, 0]))
-
-
-def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float, bottom: bool = False):
+def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
     """Extreme eigenpairs of a symmetric operator by Lanczos with full reorthogonalization.
 
-    Returns (ends, steps_taken). ends holds (theta, y, residual) for the top
-    Ritz pair and, with bottom=True, then for the bottom one: the Ritz value,
-    its unit Ritz vector and ||A y - theta y||. The run ends after
-    min(steps, dim) steps, on breakdown (the Krylov space is invariant and
-    each theta is an eigenvalue), or once every returned end's residual is
-    below rtol * |theta| of that end; rtol = 0 runs every step. The residuals
-    need the tridiagonal eigenproblem, so with rtol > 0 they are tested only
-    every RITZ_STRIDE steps, at breakdown and at the cap: steps_taken is a
-    multiple of RITZ_STRIDE, the cap or a breakdown, and a run that converges
-    stops at most RITZ_STRIDE - 1 steps later than a test on every step
-    would. Asking for the bottom end leaves the top end's arithmetic as it
-    is; it can only make the run longer. Basis rows a short run never
-    reaches stay untouched. A basis over DEFAULT_BASIS_BYTES raises
-    ResourceLimitError before it is allocated.
+    A generator. It yields (theta, y, steps_taken, residual) for the top
+    Ritz pair: the largest Ritz value, its unit Ritz vector, the number of
+    steps run and ||A y - theta y||. Resumed, it yields the same for the
+    bottom Ritz pair, and it runs no step past the top end's until then. An
+    end stops the run after min(steps, dim) steps, on breakdown (the Krylov
+    space is invariant and theta is an eigenvalue), or once its residual is
+    below rtol * |theta|; rtol = 0 runs every step. The residual needs the
+    tridiagonal eigenproblem, so with rtol > 0 it is tested only every
+    RITZ_STRIDE steps, at breakdown and at the cap: steps_taken is a multiple
+    of RITZ_STRIDE, the cap or a breakdown, and a run that converges stops at
+    most RITZ_STRIDE - 1 steps later than a test on every step would. The
+    bottom end is first tested at the step the top end stopped at. Basis rows
+    a short run never reaches stay untouched. A basis over
+    DEFAULT_BASIS_BYTES raises ResourceLimitError before it is allocated.
     """
     basis = np.empty((_basis_rows(steps, dim), dim))
     alpha = np.zeros(len(basis))
     beta = np.zeros(len(basis))
     basis[0] = v0 / np.linalg.norm(v0)
     scale = 0.0
+    bottom = False
     for j in range(len(basis)):
         q = basis[: j + 1]
         w = matvec(q[j])
@@ -305,11 +299,18 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float, bottom: 
         scale = max(scale, abs(alpha[j]) + beta[j])
         done = beta[j] <= 1e-12 * scale or j + 1 == len(basis)
         if done or (rtol > 0 and (j + 1) % RITZ_STRIDE == 0):
-            ends = [_ritz(alpha, beta, j, i) for i in ((j, 0) if bottom else (j,))]
-            if done or all(residual < rtol * abs(theta) for theta, _, residual in ends):
-                break
+            while True:
+                i = 0 if bottom else j
+                theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i",
+                                            select_range=(i, i))
+                residual = float(beta[j] * abs(s[-1, 0]))
+                if not (done or residual < rtol * abs(theta[0])):
+                    break
+                yield float(theta[0]), q.T @ s[:, 0], j + 1, residual
+                if bottom:
+                    return
+                bottom = True
         basis[j + 1] = w / beta[j]
-    return [(theta, q.T @ s, residual) for theta, s, residual in ends], j + 1
 
 
 def _certificate_steps(dim: int) -> int:
@@ -326,9 +327,9 @@ def _certificate_steps(dim: int) -> int:
 def spectral_norm(a: sp.spmatrix, seed: int = 0) -> tuple[float, int, float]:
     """(||A|| estimate, Lanczos steps, residual on A^2) to relative accuracy CERT_TOL.
 
-    Runs _lanczos on A^2 from a Gaussian start for a step count fixed in
-    advance. By Kuczynski and Wozniakowski (SIAM J. Matrix Anal. Appl. 13(4),
-    1992), after j steps on a PSD matrix of order N the top Ritz value lies
+    Runs _lanczos on A^2, its top end only, from a Gaussian start for a step
+    count fixed in advance. By Kuczynski and Wozniakowski (SIAM J. Matrix
+    Anal. Appl. 13(4), 1992), after j steps on a PSD matrix of order N the top Ritz value lies
     below (1 - eps) times the top eigenvalue with probability at most
     1.648 sqrt(N) exp(-sqrt(eps) (2j - 1)). With tol = CERT_TOL and
     eps = tol (2 - tol) the returned sqrt(theta) is at least (1 - tol) ||A||;
@@ -339,7 +340,7 @@ def spectral_norm(a: sp.spmatrix, seed: int = 0) -> tuple[float, int, float]:
     dim = a.shape[0]
     steps = _certificate_steps(dim)
     v0 = derived_rng(check_seed(seed), STREAM_SPECTRAL).standard_normal(dim)
-    [(theta, _, residual)], taken = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
+    theta, _, taken, residual = next(_lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0))
     return sqrt(max(theta, 0.0)), taken, residual
 
 

@@ -12,12 +12,13 @@ backends run on the first half's clauses paired into arity 2k.
 The CSP solver projects the instance onto XOR instances over position
 subsets (smallest subsets first) and returns the first candidate that
 satisfies every clause. The two sides of a subset s differ only in sign:
-the s- side is the s+ side with every rhs negated. So each subset runs
-stage 1 once and stage 2 once per sign. For odd |s| both signs vote from
-the same stage-1 signs, s- on the negated second half. For even |s| the
-negated side's Kikuchi matrix is -A, so one kikuchi_spectral run gives s+
-from the top of the spectrum and s- from the bottom; brute and sdp_basic
-solve the negated side separately.
+the s- side is the s+ side with every rhs negated. So each subset builds
+one side and runs stage 1 on it once, and stage 2 runs once per sign. For
+odd |s| both signs vote from the same stage-1 signs, s- on the negated
+second half. For even |s| the negated side's Kikuchi matrix is -A, so
+under kikuchi_spectral s- reads the bottom end of the Lanczos run whose
+top end gave s+, resumed only once the search reaches s-; brute and
+sdp_basic solve the negated side separately.
 """
 from __future__ import annotations
 
@@ -120,18 +121,15 @@ def _negated(inst: XorInstance) -> XorInstance:
     return XorInstance(inst.n, inst.k, inst.scopes, -inst.rhs)
 
 
-def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: int, stats: dict,
-            negated: bool = False):
-    """Stage 1 of a solve: (h2, x_hats), the second half and the stage-1 signs.
+def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: int, stats: dict):
+    """Stage 1 of a solve: (h2, x_hat, negated), the second half, the stage-1
+    signs and the surrogate's negated (None at arity 1).
 
-    x_hats holds inst's signs and, with negated=True, then those of inst with
-    every rhs negated, from the same backend run (solve_pseudo_expectation's
-    negated). stats gets the split, the pairing, the backend info of inst's
-    surrogate and its rounding.
+    stats gets the split, the pairing, the backend info and the rounding.
     """
     if inst.k == 1:
         # An arity-1 vote is the clause's rhs whatever the assignment voted from.
-        return inst, [np.ones(inst.n, dtype=np.int8)]
+        return inst, np.ones(inst.n, dtype=np.int8), None
     h1_size = (inst.m + 1) // 2
     h1 = _slice(inst, 0, h1_size)
     h2 = _slice(inst, h1_size, inst.m)
@@ -146,18 +144,15 @@ def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: in
         stats["paired_m"] = stage1.m
     stats["paired"] = paired
 
-    pe = solve_pseudo_expectation(stage1, backend, seed, ell, negated)
+    pe = solve_pseudo_expectation(stage1, backend, seed, ell)
     stats["backend_info"] = dict(pe.info)
     if backend.kind == "brute" and inst.k % 2 == 1:
         stats["stage1_rounding"] = "first_moment_sign"
-        return h2, [round_odd(pe)]
+        return h2, round_odd(pe), pe.negated
     x_hat, deltas, i_star = round_even_detail(pe)
     stats["stage1_rounding"] = "row_consensus"
     stats["delta_istar"] = float(deltas[i_star])
-    if negated:
-        stats["negated_backend_info"] = dict(pe.negated.info)
-        return h2, [x_hat, round_even_detail(pe.negated)[0]]
-    return h2, [x_hat]
+    return h2, x_hat, pe.negated
 
 
 def solve_xor(
@@ -179,7 +174,7 @@ def solve_xor(
         raise ParameterError("ell must be >= 1")
     seed = check_seed(seed)
     stats: dict = {"n": inst.n, "k": inst.k, "m": inst.m, "backend": backend.kind}
-    h2, (x_hat,) = _stage1(inst, ell, backend, seed, stats)
+    h2, x_hat, _ = _stage1(inst, ell, backend, seed, stats)
     if inst.k > 1:
         stats["stage1_signs"] = x_hat.copy()
 
@@ -205,31 +200,34 @@ def _subset_outputs(psi: CspInstance, s: tuple, sign: int, ell: int | None,
     seeds are the two signs' task seeds. Work for -sign waits until its
     output is asked for. The (s, -sign) side is the (s, sign) side with
     every rhs negated. For odd |s| it reuses the stage-1 signs and votes on
-    the negated h2. For even |s|, kikuchi_spectral reads both signs' stage-1
-    signs off one Lanczos run, and the other backends solve the negated
-    side afresh from its own seed. entry gets the level and each stage-1
-    surrogate's backend info.
+    the negated h2. For even |s|, kikuchi_spectral gives it the surrogate
+    read off the bottom end of the same Lanczos run, and the other backends
+    solve the negated side afresh from its own seed. entry gets the level
+    and each stage-1 surrogate's backend info.
     """
     # reduction.build_xor_side is looked up at call time: perfbench charges
     # reduction.side_s by wrapping that module attribute.
     side = reduction.build_xor_side(psi, s, sign)
     sub_ell = ell if len(s) == psi.k else None
-    odd = len(s) % 2 == 1
-    two_ended = not odd and backend.kind == "kikuchi_spectral"
     stats: dict = {}
-    h2, x_hats = _stage1(side, sub_ell, backend, seeds[0], stats, negated=two_ended)
+    h2, x_hat, negated = _stage1(side, sub_ell, backend, seeds[0], stats)
+    odd = len(s) % 2 == 1
+    if odd:
+        negated = None  # unused: let the Kikuchi matrix and the Lanczos run go now
     entry["ell"] = stats.get("backend_info", {}).get("ell")
-    entry["stage1"] = [stats[key] for key in ("backend_info", "negated_backend_info")
-                       if key in stats]
-    yield majority_round_detail(h2, x_hats[0])[0]
-    if odd or two_ended:
-        # Odd |s| votes from its one x_hat; a two-ended run gave the negated side its own.
-        yield majority_round_detail(_negated(h2), x_hats[-1])[0]
+    entry["stage1"] = [stats["backend_info"]] if "backend_info" in stats else []
+    yield majority_round_detail(h2, x_hat)[0]
+    if odd:
+        yield majority_round_detail(_negated(h2), x_hat)[0]
+    elif negated is not None:
+        pe = negated()
+        entry["stage1"].append(dict(pe.info))
+        yield majority_round_detail(_negated(h2), round_even_detail(pe)[0])[0]
     else:
         stats = {}
-        h2, x_hats = _stage1(_negated(side), sub_ell, backend, seeds[1], stats)
+        h2, x_hat, _ = _stage1(_negated(side), sub_ell, backend, seeds[1], stats)
         entry["stage1"].append(stats["backend_info"])
-        yield majority_round_detail(h2, x_hats[0])[0]
+        yield majority_round_detail(h2, x_hat)[0]
 
 
 def solve_csp(
@@ -252,22 +250,25 @@ def solve_csp(
     reaches value 1 the best candidate is returned with
     stats["no_perfect_candidate"] set.
 
-    A subset's first task runs its stage 1 (see the module docstring), seeded
-    with cell_seed(seed, "csp_task", i) for that task's index i; the other
-    sign reuses the run, except that brute and sdp_basic on an even subset
-    solve it apart with its own task's seed. A task's output is:
-    - odd |s|: one majority round on the side's second half from the shared
-      stage-1 signs; for s- that half has every rhs negated;
-    - even |s|, kikuchi_spectral: the round from the rounded top Ritz vector
-      of the s+ matrix for s+, and from its bottom one for s-, both from one
-      Lanczos run that stops once both ends converge;
-    - even |s|, brute and sdp_basic: solve_xor's output on that side.
+    A subset's first task builds its side and runs stage 1 (see the module
+    docstring), seeded with cell_seed(seed, "csp_task", i) for that task's
+    index i; the other sign reuses the run, except that brute and sdp_basic
+    on an even subset solve it apart with its own task's seed. A task's
+    output is one majority round on its side's second half, from:
+    - odd |s|: the shared stage-1 signs; for s- that half has every rhs
+      negated;
+    - even |s|, kikuchi_spectral: the rounded top Ritz vector of the s+
+      matrix A for s+, as solve_xor gives it, and for s- the rounded bottom
+      one, from the same Lanczos run resumed where the top end stopped;
+    - even |s|, brute and sdp_basic: the task's own stage 1, so it is
+      solve_xor's output on that side.
     stats["tasks"] has one entry per subset tried: its signs and task
     indices in the order tried, the candidate values of each sign, the
     level ell of a Kikuchi run (None for other sides) and, in "stage1", the
     backend info of each stage-1 surrogate: one for odd |s| > 1, one per
-    sign for even |s|. A Kikuchi surrogate's info has the top eigenvalue of
-    its own sign's matrix (-A for s-), the Lanczos steps and the residual.
+    sign tried for even |s|, none at arity 1. A Kikuchi surrogate's info has
+    the top eigenvalue of its own sign's matrix (-A for s-), the Lanczos
+    steps run up to its end and the residual.
 
     A kikuchi_spectral ell, which reaches only the full side, is checked
     against that side's lift, and q against the CSP's arity, before any side

@@ -419,8 +419,8 @@ def top_lanczos(matvec, dim, v0, steps, rtol):
     Returns (theta, y, steps_taken, residual), stopping as _lanczos does for
     its top end: after min(steps, dim) steps, on breakdown, or once the
     residual, tested every RITZ_STRIDE steps when rtol > 0, is below
-    rtol * |theta|. A _lanczos run that asks for the top end alone must
-    return exactly what this loop returns, bit for bit.
+    rtol * |theta|. The first pair a _lanczos run yields must be exactly
+    what this loop returns, bit for bit.
     """
     basis = np.empty((min(steps, dim), dim))
     alpha = np.zeros(len(basis))

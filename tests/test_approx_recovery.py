@@ -282,46 +282,42 @@ def _negated(inst):
 def test_spectral_backend_reads_the_negated_surrogate_off_the_bottom_end():
     inst = _random_signs_instance(24, 600, 2, 5)  # 24 vertices at ell = 1
     kik = BackendChoice.kikuchi_spectral()
-    pe = solve_pseudo_expectation(inst, kik, 5, negated=True)
-    alone = solve_pseudo_expectation(inst, kik, 5)
+    pe = solve_pseudo_expectation(inst, kik, 5)
+    neg = pe.negated()
     apart = solve_pseudo_expectation(_negated(inst), kik, 5)
     eigs = np.linalg.eigvalsh(build_kikuchi(inst, 1).matrix.toarray())
-    assert pe.info["lanczos_steps"] == pe.negated.info["lanczos_steps"]
-    assert pe.info["lanczos_steps"] >= alone.info["lanczos_steps"]
+    assert pe.info["lanczos_steps"] <= neg.info["lanczos_steps"]
     assert pe.info["top_eigenvalue"] == pytest.approx(eigs[-1], rel=1e-10)
-    assert pe.negated.info["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-10)
-    for got in (pe, pe.negated):
+    assert neg.info["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-10)
+    for got in (pe, neg):
         assert got.info["residual"] < RITZ_RTOL * abs(got.info["top_eigenvalue"])
-    # The same surrogates, to the accuracy of the stop rule, as one run per sign.
-    assert np.allclose(pe.m2, alone.m2, atol=1e-6)
-    assert np.allclose(pe.negated.m2, apart.m2, atol=1e-6)
-    assert alone.negated is None
+    # The same surrogate, to the accuracy of the stop rule, as a run on the negated instance.
+    assert np.allclose(neg.m2, apart.m2, atol=1e-6)
+    # Reading the bottom end leaves the top end's surrogate as a run without it gives.
+    again = solve_pseudo_expectation(inst, kik, 5)
+    assert again.info == pe.info and np.array_equal(again.m2, pe.m2)
 
 
 @pytest.mark.parametrize("backend", [BackendChoice.brute(), BackendChoice.sdp_basic()])
-def test_backends_without_a_spectrum_ignore_negated(backend):
+def test_backends_without_a_spectrum_give_no_negated_surrogate(backend):
     inst = _random_signs_instance(10, 60, 2, 3)
-    pe = solve_pseudo_expectation(inst, backend, 3, negated=True)
-    assert pe.negated is None
-    assert np.array_equal(pe.m2, solve_pseudo_expectation(inst, backend, 3).m2)
+    assert solve_pseudo_expectation(inst, backend, 3).negated is None
 
 
-def test_spectral_backend_raises_if_the_bottom_end_misses_the_stop_rule(monkeypatch):
+def test_spectral_backend_raises_only_when_asked_for_a_bottom_end_that_misses(monkeypatch):
     lanczos = rpcsp.approx_recovery._lanczos
 
-    def bottom_misses(*args, **kwargs):
-        ends, steps = lanczos(*args, **kwargs)
-        if len(ends) == 2:
-            theta, y, _ = ends[1]
-            ends[1] = (theta, y, abs(theta))
-        return ends, steps
+    def bottom_misses(*args):
+        run = lanczos(*args)
+        yield next(run)
+        theta, y, steps, _ = next(run)
+        yield theta, y, steps, abs(theta)
 
     monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", bottom_misses)
     inst = _random_signs_instance(12, 80, 2, 2)
-    kik = BackendChoice.kikuchi_spectral()
-    solve_pseudo_expectation(inst, kik, 2)
+    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 2)
     with pytest.raises(ConvergenceError) as info:
-        solve_pseudo_expectation(inst, kik, 2, negated=True)
+        pe.negated()
     assert info.value.best_estimate > 0  # the negated matrix's top eigenvalue
 
 

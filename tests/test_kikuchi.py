@@ -347,34 +347,35 @@ LANCZOS_CASES = ["random", "bottom-heavy", "breakdown"]
 
 
 @pytest.mark.parametrize("name", LANCZOS_CASES)
-def test_two_ended_lanczos_finds_both_ends_of_the_spectrum(name):
+def test_resumed_lanczos_finds_both_ends_of_the_spectrum(name):
     a = _lanczos_case(name)
     v0 = np.random.default_rng(12).standard_normal(60)
-    ends, steps = _lanczos(a.dot, 60, v0, 200, RITZ_RTOL, bottom=True)
+    run = _lanczos(a.dot, 60, v0, 200, RITZ_RTOL)
+    ends = [next(run), next(run)]
+    assert next(run, None) is None
     eigs = np.linalg.eigvalsh(a)
-    (top, _, _), (bottom, _, _) = ends
+    (top, _, top_steps, _), (bottom, _, steps, _) = ends
     assert top == pytest.approx(eigs[-1], rel=1e-9)
     assert bottom == pytest.approx(eigs[0], rel=1e-9)
     if name == "bottom-heavy":
         assert abs(bottom) > top > 0
-    for theta, y, residual in ends:
+    for theta, y, _, residual in ends:
         assert residual < RITZ_RTOL * abs(theta)  # the stop rule, at each end
         assert np.linalg.norm(y) == pytest.approx(1.0)
         assert abs(np.linalg.norm(a @ y - theta * y) - residual) < 1e-9 * abs(theta)
     if name == "breakdown":
-        assert steps == 4
+        assert top_steps == steps == 4
     else:
+        assert top_steps <= steps
         assert steps % RITZ_STRIDE == 0 or steps == 60
-    # The top end alone stops no later.
-    assert _lanczos(a.dot, 60, v0, 200, RITZ_RTOL)[1] <= steps
 
 
 @pytest.mark.parametrize("name", LANCZOS_CASES)
 @pytest.mark.parametrize("rtol", [RITZ_RTOL, 0.0])
-def test_single_end_lanczos_matches_the_top_end_loop_bit_for_bit(name, rtol):
+def test_lanczos_top_end_matches_the_top_end_loop_bit_for_bit(name, rtol):
     a = _lanczos_case(name)
     v0 = np.random.default_rng(13).standard_normal(60)
-    [(theta, y, residual)], steps = _lanczos(a.dot, 60, v0, 200, rtol)
+    theta, y, steps, residual = next(_lanczos(a.dot, 60, v0, 200, rtol))
     want_theta, want_y, want_steps, want_residual = top_lanczos(a.dot, 60, v0, 200, rtol)
     assert (theta, steps, residual) == (want_theta, want_steps, want_residual)
     assert np.array_equal(y, want_y)

@@ -5,6 +5,7 @@ from _oracles import greedy_pair_to_even, naive_majority_detail, per_task_csp_so
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpcsp.approx_recovery
 import rpcsp.exact_rounding
 import rpcsp.reduction
 import rpcsp.solver
@@ -469,7 +470,8 @@ def test_solve_csp_reads_both_signs_of_an_even_side_off_one_kikuchi_run():
     want, runs = per_task_csp_solve(psi, None, BackendChoice.kikuchi_spectral(), 5)
     assert rep.stats["value"] == 1.0
     # Here every candidate, the even sides' s- ones included, is the one a
-    # solve per task gives, though s- starts Lanczos from s+'s seed.
+    # solve per task gives, though s- comes from the bottom end of the run
+    # seeded for s+.
     assert len(rep.candidates) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(rep.candidates, want))
     even = [t for t in rep.stats["tasks"] if len(t["s"]) == 2]
@@ -479,11 +481,53 @@ def test_solve_csp_reads_both_signs_of_an_even_side_off_one_kikuchi_run():
         top, neg = t["stage1"]
         h1, _ = _halves(build_xor_side(psi, tuple(t["s"]), 1))
         eigs = np.linalg.eigvalsh(build_kikuchi(h1, 1).matrix.toarray())
-        assert top["lanczos_steps"] == neg["lanczos_steps"]
+        assert top["lanczos_steps"] <= neg["lanczos_steps"]
         assert top["top_eigenvalue"] == pytest.approx(eigs[-1], rel=1e-9)
         assert neg["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-9)
         for info in (top, neg):
             assert info["residual"] < RITZ_RTOL * abs(info["top_eigenvalue"])
+
+
+def test_solve_csp_never_reads_the_bottom_end_of_an_even_side_that_wins(monkeypatch):
+    # Every bottom end misses the stop rule here, so reading one raises
+    # ConvergenceError. The 2-XOR side (1, 2)+ wins, and the solve neither
+    # raises nor runs a step past that side's top end.
+    lanczos = rpcsp.approx_recovery._lanczos
+
+    def bottom_misses(*args):
+        run = lanczos(*args)
+        yield next(run)
+        theta, y, steps, _ = next(run)
+        yield theta, y, steps, abs(theta)
+
+    monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", bottom_misses)
+    pred = CspPredicate.k_xor(2)
+    psi = sample_planted_csp(random_assignment(16, 5), 3000, pred,
+                             PlantingDistribution.uniform_satisfying(pred), 5)
+    rep = solve_csp(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    want, runs = per_task_csp_solve(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    assert rep.stats["value"] == 1.0 and runs[-1][:2] == ((1, 2), 1)
+    assert len(rep.candidates) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(rep.candidates, want))
+    last = rep.stats["tasks"][-1]
+    assert (last["signs"], last["stage1"]) == ([1], [runs[-1][3].stats["backend_info"]])
+
+
+def test_solve_csp_even_side_wins_at_its_top_end_as_one_solve_per_task_does():
+    # The 4-XOR side (1, 2, 3, 4)+ wins, its output that of solve_xor on that
+    # side; every s+ task's candidates are those of one solve per task.
+    pred = CspPredicate.k_xor(4)
+    psi = sample_planted_csp(random_assignment(16, 5), 3000, pred,
+                             PlantingDistribution.uniform_satisfying(pred), 5)
+    rep = solve_csp(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    want, runs = per_task_csp_solve(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    assert rep.stats["value"] == 1.0 and runs[-1][:2] == ((1, 2, 3, 4), 1)
+    assert np.array_equal(rep.output, want[-1])
+    assert len(rep.candidates) == len(want)
+    for s, sign, i, task in runs:
+        if sign == 1:
+            assert np.array_equal(rep.candidates[2 * i], task.output), s
+    assert rep.stats["tasks"][-1]["stage1"] == [runs[-1][3].stats["backend_info"]]
 
 
 @pytest.mark.parametrize("backend", [BackendChoice.brute(), BackendChoice.sdp_basic()],
