@@ -18,8 +18,9 @@ PseudoExpectation.validate checks them after every solve:
   averaged back down to an n x n Gram matrix (KikuchiMatrix.pair_gram) and
   normalized to unit diagonal, so no projection, with mu1 = 0. Negating
   every rhs negates the matrix, so the bottom end of the same Lanczos run,
-  continued only when asked for (PseudoExpectation.negated), gives the
-  surrogate of the instance with every rhs negated.
+  kept when a caller asks for it and continued only when it reads it
+  (PseudoExpectation.negated), gives the surrogate of the instance with
+  every rhs negated.
 
 The zero mu1 of the non-brute backends is deliberate: the global sign is
 unidentifiable there and the solver resolves it in its second stage.
@@ -87,8 +88,8 @@ class PseudoExpectation:
     m2: np.ndarray
     backend: str
     info: dict = field(default_factory=dict)
-    # kikuchi_spectral only: a function of no arguments that returns the
-    # validated surrogate of the same instance with every rhs negated.
+    # kikuchi_spectral asked with_negated only: a function of no arguments that
+    # returns the validated surrogate of the same instance with every rhs negated.
     negated: Callable[[], PseudoExpectation] | None = field(default=None, repr=False,
                                                             compare=False)
 
@@ -264,7 +265,7 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
 
 
 def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
-                     ell: int) -> PseudoExpectation:
+                     ell: int, with_negated: bool) -> PseudoExpectation:
     if inst.k % 2 != 0:
         raise UnsupportedConfigError(f"kikuchi_spectral needs even arity, got k={inst.k}")
     kik = build_kikuchi(inst, ell)
@@ -276,7 +277,7 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
             return PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
                                      info={"top_eigenvalue": 0.0, "ell": ell})
         pe = uniform()
-        pe.negated = uniform
+        pe.negated = uniform if with_negated else None
         return pe
     v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
     run = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL)
@@ -285,6 +286,8 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
         # The next end of the run: the top one, then the bottom one, whose
         # value, negated, is the top eigenvalue of the negated instance's -A.
         theta, v, steps, residual = next(run)
+        if sign < 0 or not with_negated:
+            run.close()  # no end is left to read: free the basis before pair_gram
         top = sign * theta
         if residual >= RITZ_RTOL * abs(top):
             raise ConvergenceError(f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
@@ -300,20 +303,23 @@ def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
         return neg
 
     pe = surrogate(1)
-    pe.negated = negated
+    if with_negated:
+        pe.negated = negated
     return pe
 
 
 def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: int,
-                             ell: int | None = None) -> PseudoExpectation:
+                             ell: int | None = None,
+                             with_negated: bool = False) -> PseudoExpectation:
     """Run one backend and return its validated surrogate.
 
-    ell is the kikuchi_spectral level, k/2 if None; the other backends ignore it.
-    A kikuchi_spectral surrogate's negated() gives that of inst with every
-    rhs negated: it resumes the Lanczos run at the step the top end stopped
-    at, until the bottom end meets the stop rule, and raises
-    ConvergenceError if it misses it at the cap. Until then the run does
-    nothing past the top end.
+    ell is the kikuchi_spectral level, k/2 if None. With with_negated=True,
+    a kikuchi_spectral surrogate keeps its Lanczos run, and its negated()
+    gives the surrogate of inst with every rhs negated: it resumes the run
+    at the step the top end stopped at, until the bottom end meets the stop
+    rule, and raises ConvergenceError if it misses it at the cap. Until then
+    the run does nothing past the top end. Otherwise the run is freed once
+    the top end is read. The other backends ignore ell and with_negated.
     The dense moments of sdp_basic and kikuchi_spectral are checked against
     DEFAULT_MOMENT_BYTES before either allocates; brute has its own cap on n.
     """
@@ -326,7 +332,8 @@ def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: in
         if backend.kind == "sdp_basic":
             pe = _sdp_backend(inst, backend, seed)
         else:
-            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell)
+            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell,
+                                  with_negated)
     pe.validate()
     return pe
 

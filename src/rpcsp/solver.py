@@ -121,9 +121,11 @@ def _negated(inst: XorInstance) -> XorInstance:
     return XorInstance(inst.n, inst.k, inst.scopes, -inst.rhs)
 
 
-def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: int, stats: dict):
+def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: int, stats: dict,
+            with_negated: bool = False):
     """Stage 1 of a solve: (h2, x_hat, negated), the second half, the stage-1
-    signs and the surrogate's negated (None at arity 1).
+    signs and the surrogate's negated (None at arity 1, or unless asked
+    with_negated; see solve_pseudo_expectation).
 
     stats gets the split, the pairing, the backend info and the rounding.
     """
@@ -144,7 +146,7 @@ def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: in
         stats["paired_m"] = stage1.m
     stats["paired"] = paired
 
-    pe = solve_pseudo_expectation(stage1, backend, seed, ell)
+    pe = solve_pseudo_expectation(stage1, backend, seed, ell, with_negated)
     stats["backend_info"] = dict(pe.info)
     if backend.kind == "brute" and inst.k % 2 == 1:
         stats["stage1_rounding"] = "first_moment_sign"
@@ -209,11 +211,9 @@ def _subset_outputs(psi: CspInstance, s: tuple, sign: int, ell: int | None,
     # reduction.side_s by wrapping that module attribute.
     side = reduction.build_xor_side(psi, s, sign)
     sub_ell = ell if len(s) == psi.k else None
-    stats: dict = {}
-    h2, x_hat, negated = _stage1(side, sub_ell, backend, seeds[0], stats)
     odd = len(s) % 2 == 1
-    if odd:
-        negated = None  # unused: let the Kikuchi matrix and the Lanczos run go now
+    stats: dict = {}
+    h2, x_hat, negated = _stage1(side, sub_ell, backend, seeds[0], stats, with_negated=not odd)
     entry["ell"] = stats.get("backend_info", {}).get("ell")
     entry["stage1"] = [stats["backend_info"]] if "backend_info" in stats else []
     yield majority_round_detail(h2, x_hat)[0]

@@ -282,7 +282,7 @@ def _negated(inst):
 def test_spectral_backend_reads_the_negated_surrogate_off_the_bottom_end():
     inst = _random_signs_instance(24, 600, 2, 5)  # 24 vertices at ell = 1
     kik = BackendChoice.kikuchi_spectral()
-    pe = solve_pseudo_expectation(inst, kik, 5)
+    pe = solve_pseudo_expectation(inst, kik, 5, with_negated=True)
     neg = pe.negated()
     apart = solve_pseudo_expectation(_negated(inst), kik, 5)
     eigs = np.linalg.eigvalsh(build_kikuchi(inst, 1).matrix.toarray())
@@ -293,15 +293,37 @@ def test_spectral_backend_reads_the_negated_surrogate_off_the_bottom_end():
         assert got.info["residual"] < RITZ_RTOL * abs(got.info["top_eigenvalue"])
     # The same surrogate, to the accuracy of the stop rule, as a run on the negated instance.
     assert np.allclose(neg.m2, apart.m2, atol=1e-6)
-    # Reading the bottom end leaves the top end's surrogate as a run without it gives.
+    # Keeping the run leaves the top end's surrogate as a run without it gives.
     again = solve_pseudo_expectation(inst, kik, 5)
     assert again.info == pe.info and np.array_equal(again.m2, pe.m2)
+    assert again.negated is None and apart.negated is None
 
 
 @pytest.mark.parametrize("backend", [BackendChoice.brute(), BackendChoice.sdp_basic()])
 def test_backends_without_a_spectrum_give_no_negated_surrogate(backend):
     inst = _random_signs_instance(10, 60, 2, 3)
-    assert solve_pseudo_expectation(inst, backend, 3).negated is None
+    pe = solve_pseudo_expectation(inst, backend, 3, with_negated=True)
+    assert pe.negated is None
+    assert np.array_equal(pe.m2, solve_pseudo_expectation(inst, backend, 3).m2)
+
+
+def test_spectral_backend_frees_the_lanczos_run_unless_asked_to_keep_it(monkeypatch):
+    lanczos = rpcsp.approx_recovery._lanczos
+    runs = []
+
+    def recorded(*args):
+        runs.append(lanczos(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", recorded)
+    inst = _random_signs_instance(24, 600, 2, 5)
+    kik = BackendChoice.kikuchi_spectral()
+    solve_pseudo_expectation(inst, kik, 5)
+    kept = solve_pseudo_expectation(inst, kik, 5, with_negated=True)
+    # A closed generator has no frame, and so holds no basis.
+    assert runs[0].gi_frame is None and runs[1].gi_frame is not None
+    kept.negated()
+    assert runs[1].gi_frame is None
 
 
 def test_spectral_backend_raises_only_when_asked_for_a_bottom_end_that_misses(monkeypatch):
@@ -315,7 +337,7 @@ def test_spectral_backend_raises_only_when_asked_for_a_bottom_end_that_misses(mo
 
     monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", bottom_misses)
     inst = _random_signs_instance(12, 80, 2, 2)
-    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 2)
+    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 2, with_negated=True)
     with pytest.raises(ConvergenceError) as info:
         pe.negated()
     assert info.value.best_estimate > 0  # the negated matrix's top eigenvalue
