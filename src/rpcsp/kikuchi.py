@@ -329,9 +329,9 @@ def spectral_norm(a: sp.spmatrix, seed: int = 0) -> tuple[float, int, float]:
 
     Runs _lanczos on A^2, its top end only, from a Gaussian start for a step
     count fixed in advance. By Kuczynski and Wozniakowski (SIAM J. Matrix
-    Anal. Appl. 13(4), 1992), after j steps on a PSD matrix of order N the top Ritz value lies
-    below (1 - eps) times the top eigenvalue with probability at most
-    1.648 sqrt(N) exp(-sqrt(eps) (2j - 1)). With tol = CERT_TOL and
+    Anal. Appl. 13(4), 1992), after j steps on a PSD matrix of order N the top
+    Ritz value lies below (1 - eps) times the top eigenvalue with probability
+    at most 1.648 sqrt(N) exp(-sqrt(eps) (2j - 1)). With tol = CERT_TOL and
     eps = tol (2 - tol) the returned sqrt(theta) is at least (1 - tol) ||A||;
     a Ritz value never exceeds the top eigenvalue. So with probability at
     least 1 - FAILURE_PROB the estimate lies in [(1 - tol) ||A||, ||A||] and
