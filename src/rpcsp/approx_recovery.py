@@ -17,10 +17,9 @@ PseudoExpectation.validate checks them after every solve:
   float64 matrix build_kikuchi returns, multiplied as built with no copy,
   averaged back down to an n x n Gram matrix (KikuchiMatrix.pair_gram) and
   normalized to unit diagonal, so no projection, with mu1 = 0. Negating
-  every rhs negates the matrix, so the bottom end of the same Lanczos run,
-  kept when a caller asks for it and continued only when it reads it
-  (PseudoExpectation.negated), gives the surrogate of the instance with
-  every rhs negated.
+  every rhs negates the matrix, so PseudoExpectation.negated(seed) runs a
+  fresh, seeded Lanczos on -A over the same build: the surrogate of the
+  instance with every rhs negated, bit for bit, without a second build.
 
 The zero mu1 of the non-brute backends is deliberate: the global sign is
 unidentifiable there and the solver resolves it in its second stage.
@@ -88,10 +87,10 @@ class PseudoExpectation:
     m2: np.ndarray
     backend: str
     info: dict = field(default_factory=dict)
-    # kikuchi_spectral asked with_negated only: a function of no arguments that
-    # returns the validated surrogate of the same instance with every rhs negated.
-    negated: Callable[[], PseudoExpectation] | None = field(default=None, repr=False,
-                                                            compare=False)
+    # kikuchi_spectral only: a function of a seed that returns the validated
+    # surrogate of the same instance with every rhs negated, run from that seed.
+    negated: Callable[[int], PseudoExpectation] | None = field(default=None, repr=False,
+                                                               compare=False)
 
     def validate(self):
         mu1 = np.asarray(self.mu1, dtype=np.float64)
@@ -265,63 +264,51 @@ def _sdp_backend(inst: XorInstance, backend: BackendChoice, seed: int) -> Pseudo
 
 
 def _kikuchi_backend(inst: XorInstance, backend: BackendChoice, seed: int,
-                     ell: int, with_negated: bool) -> PseudoExpectation:
+                     ell: int) -> PseudoExpectation:
     if inst.k % 2 != 0:
         raise UnsupportedConfigError(f"kikuchi_spectral needs even arity, got k={inst.k}")
     kik = build_kikuchi(inst, ell)
     n = inst.n
     dim = kik.num_vertices
-    if kik.matrix.nnz == 0:
-        # No usable clauses: the uninformative uniform-distribution surrogate, for either sign.
-        def uniform():
+
+    def surrogate(matvec, seed: int) -> PseudoExpectation:
+        if kik.matrix.nnz == 0:
+            # No usable clauses: the uninformative uniform-distribution surrogate.
             return PseudoExpectation(n, np.zeros(n), np.eye(n), backend="kikuchi_spectral",
                                      info={"top_eigenvalue": 0.0, "ell": ell})
-        pe = uniform()
-        pe.negated = uniform if with_negated else None
-        return pe
-    v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
-    run = _lanczos(kik.matrix.dot, dim, v0, backend.iters, RITZ_RTOL)
-
-    def surrogate(sign: int) -> PseudoExpectation:
-        # The next end of the run: the top one, then the bottom one, whose
-        # value, negated, is the top eigenvalue of the negated instance's -A.
-        theta, v, steps, residual = next(run)
-        if sign < 0 or not with_negated:
-            run.close()  # no end is left to read: free the basis before pair_gram
-        top = sign * theta
-        if residual >= RITZ_RTOL * abs(top):
+        v0 = derived_rng(check_seed(seed), STREAM_BACKEND).standard_normal(dim)
+        theta, v, steps, residual = _lanczos(matvec, dim, v0, backend.iters, RITZ_RTOL)
+        if residual >= RITZ_RTOL * abs(theta):
             raise ConvergenceError(f"Kikuchi eigenvector did not converge in {steps} Lanczos steps",
-                                   best_estimate=top, iterations=steps)
+                                   best_estimate=theta, iterations=steps)
         m2 = _unit_gram(kik.pair_gram(v))
         return PseudoExpectation(n, np.zeros(n), m2, backend="kikuchi_spectral",
-                                 info={"top_eigenvalue": top, "ell": ell,
+                                 info={"top_eigenvalue": theta, "ell": ell,
                                        "lanczos_steps": steps, "residual": residual})
 
-    def negated() -> PseudoExpectation:
-        neg = surrogate(-1)
+    def negated(seed: int) -> PseudoExpectation:
+        # The negated instance's matrix is -A, and negation is exact, so this
+        # run is bit for bit the run on a build of that instance.
+        neg = surrogate(lambda v: -kik.matrix.dot(v), seed)
         neg.validate()
         return neg
 
-    pe = surrogate(1)
-    if with_negated:
-        pe.negated = negated
+    pe = surrogate(kik.matrix.dot, seed)
+    pe.negated = negated
     return pe
 
 
 def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: int,
-                             ell: int | None = None,
-                             with_negated: bool = False) -> PseudoExpectation:
+                             ell: int | None = None) -> PseudoExpectation:
     """Run one backend and return its validated surrogate.
 
-    ell is the kikuchi_spectral level, k/2 if None. With with_negated=True,
-    a kikuchi_spectral surrogate keeps its Lanczos run, and its negated()
-    gives the surrogate of inst with every rhs negated: it resumes the run
-    at the step the top end stopped at, until the bottom end meets the stop
-    rule, and raises ConvergenceError if it misses it at the cap. Until then
-    the run does nothing past the top end. Otherwise the run is freed once
-    the top end is read. The other backends ignore ell and with_negated.
-    The dense moments of sdp_basic and kikuchi_spectral are checked against
-    DEFAULT_MOMENT_BYTES before either allocates; brute has its own cap on n.
+    ell is the kikuchi_spectral level, k/2 if None; the other backends ignore
+    it. A kikuchi_spectral surrogate's negated(seed) is, bit for bit, this
+    function's result on inst with every rhs negated and that seed: a fresh
+    Lanczos run on -A over the same Kikuchi build, which it keeps alive.
+    brute and sdp_basic set no negated. The dense moments of sdp_basic and
+    kikuchi_spectral are checked against DEFAULT_MOMENT_BYTES before either
+    allocates; brute has its own cap on n.
     """
     if inst.m == 0:
         raise ParameterError("cannot build a surrogate from an empty instance")
@@ -332,8 +319,7 @@ def solve_pseudo_expectation(inst: XorInstance, backend: BackendChoice, seed: in
         if backend.kind == "sdp_basic":
             pe = _sdp_backend(inst, backend, seed)
         else:
-            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell,
-                                  with_negated)
+            pe = _kikuchi_backend(inst, backend, seed, inst.k // 2 if ell is None else ell)
     pe.validate()
     return pe
 

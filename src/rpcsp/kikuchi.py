@@ -175,13 +175,17 @@ class KikuchiMatrix:
 
         Entry (i, j) sums w_S w_T over the C(n-2, l-1) vertex pairs with S - T = {i}
         and T - S = {j}; entry (i, i) sums w_S^2 over the S holding i. At l = 1 it is w w^T.
+        U is dense, n x C(n, l-1), and filled by one scatter per position p of the
+        sorted subsets: (S, p) -> (S_p, S minus S_p) is one-to-one, so no cell is
+        written twice. It takes fewer bytes than U's (value, row, column) triples
+        whenever l < 2n/3 + 1.
         """
         # Row r of all_subsets has colex rank r, so w is already indexed by subset.
         subs, table = all_subsets(self.n, self.ell), _comb_table(self.n, self.ell)
-        cols = [subset_rank(np.delete(subs, p, axis=1), table) for p in range(self.ell)]
-        u = sp.coo_matrix((np.tile(w, self.ell), (subs.T.ravel(), np.concatenate(cols))),
-                          shape=(self.n, comb(self.n, self.ell - 1))).tocsr()
-        return (u @ u.T).toarray()
+        u = np.zeros((self.n, comb(self.n, self.ell - 1)))
+        for p in range(self.ell):
+            u[subs[:, p], subset_rank(np.delete(subs, p, axis=1), table)] = w
+        return u @ u.T
 
     def quadratic_form(self, x: Assignment) -> int:
         z = self.parity_vector(x)
@@ -266,29 +270,24 @@ def _basis_rows(steps: int, dim: int) -> int:
 
 
 def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
-    """Extreme eigenpairs of a symmetric operator by Lanczos with full reorthogonalization.
+    """Top eigenpair of a symmetric operator by Lanczos with full reorthogonalization.
 
-    A generator. It yields (theta, y, steps_taken, residual) for the top
-    Ritz pair: the largest Ritz value, its unit Ritz vector, the number of
-    steps run and ||A y - theta y||. Resumed, it yields the same for the
-    bottom Ritz pair, and it runs no step past the top end's until then. An
-    end stops the run after min(steps, dim) steps, on breakdown (the Krylov
-    space is invariant and theta is an eigenvalue), or once its residual is
-    below rtol * |theta|; rtol = 0 runs every step. The residual needs the
+    Returns (theta, y, steps_taken, residual): the largest Ritz value, its
+    unit Ritz vector, the number of steps run and ||A y - theta y||. The run
+    stops after min(steps, dim) steps, on breakdown (the Krylov space is
+    invariant and theta is an eigenvalue), or once the residual is below
+    rtol * |theta|; rtol = 0 runs every step. The residual needs the
     tridiagonal eigenproblem, so with rtol > 0 it is tested only every
     RITZ_STRIDE steps, at breakdown and at the cap: steps_taken is a multiple
     of RITZ_STRIDE, the cap or a breakdown, and a run that converges stops at
-    most RITZ_STRIDE - 1 steps later than a test on every step would. The
-    bottom end is first tested at the step the top end stopped at. Basis rows
-    a short run never reaches stay untouched. A basis over
-    DEFAULT_BASIS_BYTES raises ResourceLimitError before it is allocated.
+    most RITZ_STRIDE - 1 steps later than a test on every step would. A basis
+    over DEFAULT_BASIS_BYTES raises ResourceLimitError before it is allocated.
     """
     basis = np.empty((_basis_rows(steps, dim), dim))
     alpha = np.zeros(len(basis))
     beta = np.zeros(len(basis))
     basis[0] = v0 / np.linalg.norm(v0)
     scale = 0.0
-    bottom = False
     for j in range(len(basis)):
         q = basis[: j + 1]
         w = matvec(q[j])
@@ -299,17 +298,11 @@ def _lanczos(matvec, dim: int, v0: np.ndarray, steps: int, rtol: float):
         scale = max(scale, abs(alpha[j]) + beta[j])
         done = beta[j] <= 1e-12 * scale or j + 1 == len(basis)
         if done or (rtol > 0 and (j + 1) % RITZ_STRIDE == 0):
-            while True:
-                i = 0 if bottom else j
-                theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i",
-                                            select_range=(i, i))
-                residual = float(beta[j] * abs(s[-1, 0]))
-                if not (done or residual < rtol * abs(theta[0])):
-                    break
-                yield float(theta[0]), q.T @ s[:, 0], j + 1, residual
-                if bottom:
-                    return
-                bottom = True
+            theta, s = eigh_tridiagonal(alpha[: j + 1], beta[:j], select="i",
+                                        select_range=(j, j))
+            residual = float(beta[j] * abs(s[-1, 0]))
+            if done or residual < rtol * abs(theta[0]):
+                return float(theta[0]), q.T @ s[:, 0], j + 1, residual
         basis[j + 1] = w / beta[j]
 
 
@@ -327,8 +320,8 @@ def _certificate_steps(dim: int) -> int:
 def spectral_norm(a: sp.spmatrix, seed: int = 0) -> tuple[float, int, float]:
     """(||A|| estimate, Lanczos steps, residual on A^2) to relative accuracy CERT_TOL.
 
-    Runs _lanczos on A^2, its top end only, from a Gaussian start for a step
-    count fixed in advance. By Kuczynski and Wozniakowski (SIAM J. Matrix
+    Runs _lanczos on A^2 from a Gaussian start for a step count fixed in
+    advance. By Kuczynski and Wozniakowski (SIAM J. Matrix
     Anal. Appl. 13(4), 1992), after j steps on a PSD matrix of order N the top
     Ritz value lies below (1 - eps) times the top eigenvalue with probability
     at most 1.648 sqrt(N) exp(-sqrt(eps) (2j - 1)). With tol = CERT_TOL and
@@ -340,7 +333,7 @@ def spectral_norm(a: sp.spmatrix, seed: int = 0) -> tuple[float, int, float]:
     dim = a.shape[0]
     steps = _certificate_steps(dim)
     v0 = derived_rng(check_seed(seed), STREAM_SPECTRAL).standard_normal(dim)
-    theta, _, taken, residual = next(_lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0))
+    theta, _, taken, residual = _lanczos(lambda v: a @ (a @ v), dim, v0, steps, 0.0)
     return sqrt(max(theta, 0.0)), taken, residual
 
 

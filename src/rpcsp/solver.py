@@ -13,12 +13,12 @@ The CSP solver projects the instance onto XOR instances over position
 subsets (smallest subsets first) and returns the first candidate that
 satisfies every clause. The two sides of a subset s differ only in sign:
 the s- side is the s+ side with every rhs negated. So each subset builds
-one side and runs stage 1 on it once, and stage 2 runs once per sign. For
-odd |s| both signs vote from the same stage-1 signs, s- on the negated
-second half. For even |s| the negated side's Kikuchi matrix is -A, so
-under kikuchi_spectral s- reads the bottom end of the Lanczos run whose
-top end gave s+, resumed only once the search reaches s-; brute and
-sdp_basic solve the negated side separately.
+one side, and stage 2 runs once per sign on its second half, cleaned once.
+For odd |s| stage 1 runs once and both signs vote from its signs, s- on
+the negated second half. For even |s| each sign runs its own stage 1 from
+its own task seed, s- only once the search reaches it, on the negated first
+half. Under kikuchi_spectral that run is a fresh Lanczos on -A over the
+Kikuchi matrix built for the first sign, so the build is shared.
 """
 from __future__ import annotations
 
@@ -121,13 +121,16 @@ def _negated(inst: XorInstance) -> XorInstance:
     return XorInstance(inst.n, inst.k, inst.scopes, -inst.rhs)
 
 
-def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: int, stats: dict,
-            with_negated: bool = False):
+def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: int, stats: dict):
     """Stage 1 of a solve: (h2, x_hat, negated), the second half, the stage-1
-    signs and the surrogate's negated (None at arity 1, or unless asked
-    with_negated; see solve_pseudo_expectation).
+    signs and a function of a seed that returns the validated surrogate of
+    the stage-1 instance with every rhs negated (None at arity 1).
 
-    stats gets the split, the pairing, the backend info and the rounding.
+    For even k the stage-1 instance is the first half, so negated(seed) is
+    the surrogate that inst with every rhs negated gets from that seed.
+    kikuchi_spectral reuses its build (PseudoExpectation.negated); brute and
+    sdp_basic solve the negated first half. stats gets the split, the
+    pairing, the backend info and the rounding.
     """
     if inst.k == 1:
         # An arity-1 vote is the clause's rhs whatever the assignment voted from.
@@ -146,15 +149,17 @@ def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: in
         stats["paired_m"] = stage1.m
     stats["paired"] = paired
 
-    pe = solve_pseudo_expectation(stage1, backend, seed, ell, with_negated)
+    pe = solve_pseudo_expectation(stage1, backend, seed, ell)
     stats["backend_info"] = dict(pe.info)
+    negated = pe.negated or (
+        lambda s: solve_pseudo_expectation(_negated(stage1), backend, s, ell))
     if backend.kind == "brute" and inst.k % 2 == 1:
         stats["stage1_rounding"] = "first_moment_sign"
-        return h2, round_odd(pe), pe.negated
+        return h2, round_odd(pe), negated
     x_hat, deltas, i_star = round_even_detail(pe)
     stats["stage1_rounding"] = "row_consensus"
     stats["delta_istar"] = float(deltas[i_star])
-    return h2, x_hat, pe.negated
+    return h2, x_hat, negated
 
 
 def solve_xor(
@@ -201,11 +206,10 @@ def _subset_outputs(psi: CspInstance, s: tuple, sign: int, ell: int | None,
 
     seeds are the two signs' task seeds. Work for -sign waits until its
     output is asked for. The (s, -sign) side is the (s, sign) side with
-    every rhs negated. For odd |s| it reuses the stage-1 signs and votes on
-    the negated h2. For even |s|, kikuchi_spectral gives it the surrogate
-    read off the bottom end of the same Lanczos run, and the other backends
-    solve the negated side afresh from its own seed. entry gets the level
-    and each stage-1 surrogate's backend info.
+    every rhs negated. For odd |s| it reuses the stage-1 signs; for even
+    |s| it runs its own stage 1 from seeds[1] (see _stage1). Either way it
+    votes on the negated second half. entry gets the level and each
+    stage-1 surrogate's backend info.
     """
     # reduction.build_xor_side is looked up at call time: perfbench charges
     # reduction.side_s by wrapping that module attribute.
@@ -213,21 +217,19 @@ def _subset_outputs(psi: CspInstance, s: tuple, sign: int, ell: int | None,
     sub_ell = ell if len(s) == psi.k else None
     odd = len(s) % 2 == 1
     stats: dict = {}
-    h2, x_hat, negated = _stage1(side, sub_ell, backend, seeds[0], stats, with_negated=not odd)
+    h2, x_hat, negated = _stage1(side, sub_ell, backend, seeds[0], stats)
+    if odd:
+        negated = None  # not needed, so a Kikuchi build it holds goes now
+    # Cleaned once here, so neither sign's round copies it again.
+    h2, _ = clean(h2)
     entry["ell"] = stats.get("backend_info", {}).get("ell")
     entry["stage1"] = [stats["backend_info"]] if "backend_info" in stats else []
     yield majority_round_detail(h2, x_hat)[0]
-    if odd:
-        yield majority_round_detail(_negated(h2), x_hat)[0]
-    elif negated is not None:
-        pe = negated()
+    if not odd:
+        pe = negated(seeds[1])
         entry["stage1"].append(dict(pe.info))
-        yield majority_round_detail(_negated(h2), round_even_detail(pe)[0])[0]
-    else:
-        stats = {}
-        h2, x_hat, _ = _stage1(_negated(side), sub_ell, backend, seeds[1], stats)
-        entry["stage1"].append(stats["backend_info"])
-        yield majority_round_detail(h2, x_hat)[0]
+        x_hat = round_even_detail(pe)[0]
+    yield majority_round_detail(_negated(h2), x_hat)[0]
 
 
 def solve_csp(
@@ -252,23 +254,22 @@ def solve_csp(
 
     A subset's first task builds its side and runs stage 1 (see the module
     docstring), seeded with cell_seed(seed, "csp_task", i) for that task's
-    index i; the other sign reuses the run, except that brute and sdp_basic
-    on an even subset solve it apart with its own task's seed. A task's
-    output is one majority round on its side's second half, from:
-    - odd |s|: the shared stage-1 signs; for s- that half has every rhs
-      negated;
-    - even |s|, kikuchi_spectral: the rounded top Ritz vector of the s+
-      matrix A for s+, as solve_xor gives it, and for s- the rounded bottom
-      one, from the same Lanczos run resumed where the top end stopped;
-    - even |s|, brute and sdp_basic: the task's own stage 1, so it is
-      solve_xor's output on that side.
+    index i. A task's output is one majority round on its side's second
+    half, from:
+    - odd |s|: the shared stage-1 signs; for the other sign that half has
+      every rhs negated, and the task's own seed goes unused;
+    - even |s|: the task's own stage 1, from its own task seed, so the
+      output is solve_xor's on that side, for every backend. Under
+      kikuchi_spectral the second sign's run multiplies by -A, the
+      negation of the matrix built for the first, and builds nothing.
     stats["tasks"] has one entry per subset tried: its signs and task
     indices in the order tried, the candidate values of each sign, the
     level ell of a Kikuchi run (None for other sides) and, in "stage1", the
     backend info of each stage-1 surrogate: one for odd |s| > 1, one per
-    sign tried for even |s|, none at arity 1. A Kikuchi surrogate's info has
-    the top eigenvalue of its own sign's matrix (-A for s-), the Lanczos
-    steps run up to its end and the residual.
+    sign tried for even |s|, none at arity 1. Each is the info solve_xor's
+    stats["backend_info"] holds for that task; a Kikuchi one has the top
+    eigenvalue of its own sign's matrix (-A for the second sign), the
+    Lanczos steps and the residual.
 
     A kikuchi_spectral ell, which reaches only the full side, is checked
     against that side's lift, and q against the CSP's arity, before any side
@@ -306,9 +307,9 @@ def solve_csp(
                 tasks = [first] + [t for t in tasks if t != first]
 
         # One log entry and one output generator per subset, made at the
-        # subset's first task; the run shared by both signs takes that task's
-        # seed. Both signs' tasks keep their place, so the candidate order and
-        # the seed of each sign's own run are those of one solve per task.
+        # subset's first task, which also fixes the other sign's seed. Both
+        # signs' tasks keep their place, so the candidate order and the seed
+        # of each sign's own run are those of one solve per task.
         # A generator waits in pending until its second task, then goes, and
         # the side it holds with it.
         index = {task: ti for ti, task in enumerate(tasks)}

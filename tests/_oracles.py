@@ -416,11 +416,10 @@ def naive_read_assignment(path):
 def top_lanczos(matvec, dim, v0, steps, rtol):
     """The top Ritz pair alone by Lanczos with full reorthogonalization.
 
-    Returns (theta, y, steps_taken, residual), stopping as _lanczos does for
-    its top end: after min(steps, dim) steps, on breakdown, or once the
-    residual, tested every RITZ_STRIDE steps when rtol > 0, is below
-    rtol * |theta|. The first pair a _lanczos run yields must be exactly
-    what this loop returns, bit for bit.
+    Returns (theta, y, steps_taken, residual), stopping as _lanczos does:
+    after min(steps, dim) steps, on breakdown, or once the residual, tested
+    every RITZ_STRIDE steps when rtol > 0, is below rtol * |theta|. _lanczos
+    must return exactly what this loop returns, bit for bit.
     """
     basis = np.empty((min(steps, dim), dim))
     alpha = np.zeros(len(basis))

@@ -272,75 +272,62 @@ def test_spectral_backend_on_empty_matrix_is_uninformative():
     scopes = np.array([[1, 1], [2, 2]], dtype=np.int64)
     inst = XorInstance(6, 2, scopes, np.ones(2, dtype=np.int8))
     pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 0)
-    assert np.allclose(pe.m2, np.eye(6))
+    neg = pe.negated(1)
+    for got in (pe, neg):
+        assert np.array_equal(got.m2, np.eye(6)) and not got.mu1.any()
+        assert got.info == {"top_eigenvalue": 0.0, "ell": 1}
 
 
 def _negated(inst):
     return XorInstance(inst.n, inst.k, inst.scopes, -inst.rhs)
 
 
-def test_spectral_backend_reads_the_negated_surrogate_off_the_bottom_end():
-    inst = _random_signs_instance(24, 600, 2, 5)  # 24 vertices at ell = 1
+@pytest.mark.parametrize("k,ell", [(2, 1), (2, 2), (2, 3), (4, 2), (4, 3)])
+def test_spectral_negated_is_a_solve_of_the_negated_instance_bit_for_bit(monkeypatch, k, ell):
+    builds = []
+
+    def counting_build(*args):
+        builds.append(args)
+        return build_kikuchi(*args)
+
+    monkeypatch.setattr(rpcsp.approx_recovery, "build_kikuchi", counting_build)
+    inst = sample_planted_xor(random_assignment(12, k), 400, k, 0.3, k + ell)
     kik = BackendChoice.kikuchi_spectral()
-    pe = solve_pseudo_expectation(inst, kik, 5, with_negated=True)
-    neg = pe.negated()
-    apart = solve_pseudo_expectation(_negated(inst), kik, 5)
-    eigs = np.linalg.eigvalsh(build_kikuchi(inst, 1).matrix.toarray())
-    assert pe.info["lanczos_steps"] <= neg.info["lanczos_steps"]
-    assert pe.info["top_eigenvalue"] == pytest.approx(eigs[-1], rel=1e-10)
-    assert neg.info["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-10)
-    for got in (pe, neg):
-        assert got.info["residual"] < RITZ_RTOL * abs(got.info["top_eigenvalue"])
-    # The same surrogate, to the accuracy of the stop rule, as a run on the negated instance.
-    assert np.allclose(neg.m2, apart.m2, atol=1e-6)
-    # Keeping the run leaves the top end's surrogate as a run without it gives.
-    again = solve_pseudo_expectation(inst, kik, 5)
-    assert again.info == pe.info and np.array_equal(again.m2, pe.m2)
-    assert again.negated is None and apart.negated is None
+    pe = solve_pseudo_expectation(inst, kik, 5, ell)
+    for seed in (5, 6):
+        before = len(builds)
+        neg = pe.negated(seed)
+        assert len(builds) == before  # the negated run multiplies by -A: it builds nothing
+        apart = solve_pseudo_expectation(_negated(inst), kik, seed, ell)
+        assert neg.info == apart.info and neg.backend == apart.backend
+        assert np.array_equal(neg.m2, apart.m2) and np.array_equal(neg.mu1, apart.mu1)
+    # -A's top eigenvalue is minus A's bottom one.
+    eigs = np.linalg.eigvalsh(build_kikuchi(inst, ell).matrix.toarray())
+    assert pe.info["top_eigenvalue"] == pytest.approx(eigs[-1], rel=1e-9)
+    assert neg.info["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-9)
 
 
 @pytest.mark.parametrize("backend", [BackendChoice.brute(), BackendChoice.sdp_basic()])
 def test_backends_without_a_spectrum_give_no_negated_surrogate(backend):
     inst = _random_signs_instance(10, 60, 2, 3)
-    pe = solve_pseudo_expectation(inst, backend, 3, with_negated=True)
-    assert pe.negated is None
-    assert np.array_equal(pe.m2, solve_pseudo_expectation(inst, backend, 3).m2)
+    assert solve_pseudo_expectation(inst, backend, 3).negated is None
 
 
-def test_spectral_backend_frees_the_lanczos_run_unless_asked_to_keep_it(monkeypatch):
+def test_spectral_negated_raises_when_its_own_run_misses(monkeypatch):
     lanczos = rpcsp.approx_recovery._lanczos
     runs = []
 
-    def recorded(*args):
-        runs.append(lanczos(*args))
-        return runs[-1]
+    def second_misses(*args):
+        theta, y, steps, residual = lanczos(*args)
+        runs.append(theta)
+        return theta, y, steps, abs(theta) if len(runs) == 2 else residual
 
-    monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", recorded)
-    inst = _random_signs_instance(24, 600, 2, 5)
-    kik = BackendChoice.kikuchi_spectral()
-    solve_pseudo_expectation(inst, kik, 5)
-    kept = solve_pseudo_expectation(inst, kik, 5, with_negated=True)
-    # A closed generator has no frame, and so holds no basis.
-    assert runs[0].gi_frame is None and runs[1].gi_frame is not None
-    kept.negated()
-    assert runs[1].gi_frame is None
-
-
-def test_spectral_backend_raises_only_when_asked_for_a_bottom_end_that_misses(monkeypatch):
-    lanczos = rpcsp.approx_recovery._lanczos
-
-    def bottom_misses(*args):
-        run = lanczos(*args)
-        yield next(run)
-        theta, y, steps, _ = next(run)
-        yield theta, y, steps, abs(theta)
-
-    monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", bottom_misses)
+    monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", second_misses)
     inst = _random_signs_instance(12, 80, 2, 2)
-    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 2, with_negated=True)
+    pe = solve_pseudo_expectation(inst, BackendChoice.kikuchi_spectral(), 2)
     with pytest.raises(ConvergenceError) as info:
-        pe.negated()
-    assert info.value.best_estimate > 0  # the negated matrix's top eigenvalue
+        pe.negated(3)
+    assert info.value.best_estimate == runs[1] > 0  # the negated matrix's top eigenvalue
 
 
 def test_unit_gram_normalizes_and_maps_a_zero_row_to_a_unit_vector():

@@ -69,6 +69,7 @@ def test_traced_csp_solve_records_one_side_span_per_task():
     # it is wrapped. It builds one side per subset, whose log entry holds both
     # signs' tasks. Parity carries no signal below the full subset, so the
     # solve goes through all 7 subsets and ends at the 13th task, (1, 2, 3)+.
+    # Each stage-1 run, an even side's s- one too, is one backend span.
     pred = CspPredicate.k_xor(3)
     psi = sample_planted_csp(random_assignment(12, 3), 300, pred,
                              PlantingDistribution.uniform_satisfying(pred), 3)
@@ -76,6 +77,8 @@ def test_traced_csp_solve_records_one_side_span_per_task():
     tasks = [i for t in report.stats["tasks"] for i in t["task_index"]]
     assert (len(report.stats["tasks"]), len(tasks)) == (7, 13)
     assert spans["reduction.side_s"] == len(report.stats["tasks"]), spans
+    stage1_runs = sum(len(t["stage1"]) for t in report.stats["tasks"])
+    assert stage1_runs == 7 and spans["approx_recovery.backend_s"] == stage1_runs, spans
     for name in ("approx_recovery.backend_s", "approx_recovery.round_s",
                  "exact_rounding.majority_s"):
         assert spans[name] >= 1, f"no {name} span in {spans}"

@@ -424,6 +424,8 @@ def _halves(side):
     (CspPredicate.k_xor(3), BackendChoice.brute()),
     (CspPredicate.k_sat(2), BackendChoice.sdp_basic()),
     (CspPredicate.k_xor(2), BackendChoice.sdp_basic()),
+    (CspPredicate.k_sat(3), BackendChoice.kikuchi_spectral()),
+    (CspPredicate.k_xor(2), BackendChoice.kikuchi_spectral()),
 ], ids=lambda v: getattr(v, "kind", None) or f"k{v.k}-{v.to_hex()}")
 def test_solve_csp_candidates_match_one_solve_per_task(monkeypatch, pred, backend):
     # Two plants mixed: no candidate reaches value 1, so every task runs.
@@ -462,16 +464,25 @@ def test_solve_csp_candidates_match_one_solve_per_task(monkeypatch, pred, backen
         assert t["stage1"] == (infos if len(t["s"]) % 2 == 0 else infos[:1])
 
 
-def test_solve_csp_reads_both_signs_of_an_even_side_off_one_kikuchi_run():
+def test_solve_csp_builds_one_kikuchi_matrix_per_subset(monkeypatch):
+    builds = []
+
+    def counting_build(inst, ell):
+        builds.append((inst.k, ell))
+        return build_kikuchi(inst, ell)
+
+    monkeypatch.setattr(rpcsp.approx_recovery, "build_kikuchi", counting_build)
     pred = CspPredicate.k_xor(3)
     psi = sample_planted_csp(random_assignment(16, 5), 6000, pred,
                              PlantingDistribution.uniform_satisfying(pred), 5)
     rep = solve_csp(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    # One build per subset past arity 1: three 2-XOR sides at ell = 1, then
+    # the (1, 2, 3) side paired to arity 6 at ell = 3.
+    assert builds == [(2, 1)] * 3 + [(6, 3)]
     want, runs = per_task_csp_solve(psi, None, BackendChoice.kikuchi_spectral(), 5)
     assert rep.stats["value"] == 1.0
-    # Here every candidate, the even sides' s- ones included, is the one a
-    # solve per task gives, though s- comes from the bottom end of the run
-    # seeded for s+.
+    # Every candidate, the even sides' s- ones included, is the one a solve
+    # per task gives, though s- runs on the matrix built for s+.
     assert len(rep.candidates) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(rep.candidates, want))
     even = [t for t in rep.stats["tasks"] if len(t["s"]) == 2]
@@ -481,36 +492,59 @@ def test_solve_csp_reads_both_signs_of_an_even_side_off_one_kikuchi_run():
         top, neg = t["stage1"]
         h1, _ = _halves(build_xor_side(psi, tuple(t["s"]), 1))
         eigs = np.linalg.eigvalsh(build_kikuchi(h1, 1).matrix.toarray())
-        assert top["lanczos_steps"] <= neg["lanczos_steps"]
         assert top["top_eigenvalue"] == pytest.approx(eigs[-1], rel=1e-9)
         assert neg["top_eigenvalue"] == pytest.approx(-eigs[0], rel=1e-9)
         for info in (top, neg):
             assert info["residual"] < RITZ_RTOL * abs(info["top_eigenvalue"])
 
 
-def test_solve_csp_never_reads_the_bottom_end_of_an_even_side_that_wins(monkeypatch):
-    # Every bottom end misses the stop rule here, so reading one raises
-    # ConvergenceError. The 2-XOR side (1, 2)+ wins, and the solve neither
-    # raises nor runs a step past that side's top end.
+def test_solve_csp_runs_one_lanczos_for_an_even_side_that_wins(monkeypatch):
+    # The 2-XOR side (1, 2)+ wins, so its s- task never runs: the subset's
+    # one Lanczos run is the s+ one, and arity 1 runs none.
     lanczos = rpcsp.approx_recovery._lanczos
+    runs_seen = []
 
-    def bottom_misses(*args):
-        run = lanczos(*args)
-        yield next(run)
-        theta, y, steps, _ = next(run)
-        yield theta, y, steps, abs(theta)
+    def counting_lanczos(*args):
+        runs_seen.append(args[1])
+        return lanczos(*args)
 
-    monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", bottom_misses)
+    monkeypatch.setattr(rpcsp.approx_recovery, "_lanczos", counting_lanczos)
     pred = CspPredicate.k_xor(2)
     psi = sample_planted_csp(random_assignment(16, 5), 3000, pred,
                              PlantingDistribution.uniform_satisfying(pred), 5)
     rep = solve_csp(psi, None, BackendChoice.kikuchi_spectral(), 5)
+    assert runs_seen == [16]
     want, runs = per_task_csp_solve(psi, None, BackendChoice.kikuchi_spectral(), 5)
     assert rep.stats["value"] == 1.0 and runs[-1][:2] == ((1, 2), 1)
     assert len(rep.candidates) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(rep.candidates, want))
     last = rep.stats["tasks"][-1]
     assert (last["signs"], last["stage1"]) == ([1], [runs[-1][3].stats["backend_info"]])
+
+
+def test_solve_csp_cleans_each_second_half_once(monkeypatch):
+    # Two plants mixed: no candidate reaches value 1, so both signs of every
+    # subset run. A subset's second half is cleaned once, and the rounds of
+    # both signs get the cleaned copy, so neither cleans it again.
+    psi = _mixed_csp(CspPredicate.k_xor(3), 14, 150, (21, 22))
+    seen = []
+
+    def counting_clean(arg):
+        seen.append(arg)
+        return clean(arg)
+
+    monkeypatch.setattr(rpcsp.solver, "clean", counting_clean)
+    monkeypatch.setattr(rpcsp.exact_rounding, "clean", counting_clean)
+    rep = solve_csp(psi, None, BackendChoice.brute(), 21)
+    assert rep.stats["no_perfect_candidate"] is True
+    for t in rep.stats["tasks"]:
+        if len(t["s"]) < 2:
+            continue  # arity 1 has no repeated entries: clean copies nothing
+        assert t["signs"] == [1, -1]
+        _, h2 = _halves(build_xor_side(psi, tuple(t["s"]), 1))
+        assert clean(h2)[0].m < h2.m  # there is something to clean
+        on_h2 = [a for a in seen if a.m == h2.m and np.array_equal(a.scopes, h2.scopes)]
+        assert len(on_h2) == 1, t["s"]
 
 
 def test_solve_csp_even_side_wins_at_its_top_end_as_one_solve_per_task_does():
