@@ -175,10 +175,10 @@ class KikuchiMatrix:
 
         Entry (i, j) sums w_S w_T over the C(n-2, l-1) vertex pairs with S - T = {i}
         and T - S = {j}; entry (i, i) sums w_S^2 over the S holding i. At l = 1 it is w w^T.
-        U is dense, n x C(n, l-1), and filled by one scatter per position p of the
-        sorted subsets: (S, p) -> (S_p, S minus S_p) is one-to-one, so no cell is
-        written twice. It takes fewer bytes than U's (value, row, column) triples
-        whenever l < 2n/3 + 1.
+        U is a dense n x C(n, l-1) array, filled by one scatter per position p of
+        the sorted subsets; (S, p) -> (S_p, S minus S_p) is one-to-one, so no cell
+        is written twice. Dense, U takes fewer bytes than its l C(n, l) nonzeros
+        would as (value, row, column) triples whenever l < 2n/3 + 1.
         """
         # Row r of all_subsets has colex rank r, so w is already indexed by subset.
         subs, table = all_subsets(self.n, self.ell), _comb_table(self.n, self.ell)

@@ -181,7 +181,7 @@ def solve_xor(
         raise ParameterError("ell must be >= 1")
     seed = check_seed(seed)
     stats: dict = {"n": inst.n, "k": inst.k, "m": inst.m, "backend": backend.kind}
-    h2, x_hat, _ = _stage1(inst, ell, backend, seed, stats)
+    h2, x_hat = _stage1(inst, ell, backend, seed, stats)[:2]  # negated, and any build, go now
     if inst.k > 1:
         stats["stage1_signs"] = x_hat.copy()
 
