@@ -152,7 +152,7 @@ def _stage1(inst: XorInstance, ell: int | None, backend: BackendChoice, seed: in
     pe = solve_pseudo_expectation(stage1, backend, seed, ell)
     stats["backend_info"] = dict(pe.info)
     negated = pe.negated or (
-        lambda s: solve_pseudo_expectation(_negated(stage1), backend, s, ell))
+        lambda other_seed: solve_pseudo_expectation(_negated(stage1), backend, other_seed, ell))
     if backend.kind == "brute" and inst.k % 2 == 1:
         stats["stage1_rounding"] = "first_moment_sign"
         return h2, round_odd(pe), negated
