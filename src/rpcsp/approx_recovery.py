@@ -9,7 +9,7 @@ PseudoExpectation.validate checks them after every solve:
 - brute: exact moments of the uniform distribution over the argmax set of the
   signed clause objective, for small n. The objective of every assignment is
   one Walsh-Hadamard transform of the clause-mask histogram, and the moments
-  are a second transform, of the argmax indicator;
+  are sums of sign products over the argmax set, read in one blocked pass;
 - sdp_basic: low-rank coordinate ascent over unit vectors for arity 2,
   returning the Gram matrix normalized to unit diagonal, with mu1 = 0;
 - kikuchi_spectral: top eigenvector of the level-l lift for even arity, by
@@ -32,8 +32,8 @@ from math import sqrt
 
 import numpy as np
 
+from . import fourier
 from .errors import ConvergenceError, ParameterError, ResourceLimitError, UnsupportedConfigError
-from .fourier import walsh_hadamard
 from .instances import Assignment, XorInstance, sign_round, validate_assignment
 from .kikuchi import _lanczos, build_kikuchi
 from .rng import STREAM_BACKEND, check_seed, derived_rng
@@ -42,9 +42,10 @@ PSD_TOL = 1e-8
 AGREEMENT_FRACTION = 0.99
 # kikuchi_spectral stops once its Ritz residual is below this share of the top eigenvalue.
 RITZ_RTOL = 1e-8
-# brute transforms a 2^n int32 table, 256 MB at n = 26; an n = 26 solve_xor
-# (3-XOR, m = 400) takes 2.5-3.0 s and peaks at 317 MB RSS, 59 MB of it
-# before the solve (2 cores, NumPy 2.4.6).
+# brute transforms a 2^n table of the narrowest type holding +-m, 128 MB of
+# int16 at n = 26 for m < 32,768; an n = 26 solve_xor (3-XOR, m = 400) takes
+# 0.9-1.7 s and peaks at 194 MB RSS, 59 MB of it before the solve (2 cores,
+# NumPy 2.4.6).
 BRUTE_MAX_N = 26
 # Bytes of one dense n x n float64 moment matrix for sdp_basic and
 # kikuchi_spectral: 2^27 admits n <= 4,096. A solve holds a few such
@@ -154,15 +155,26 @@ def _clause_masks(inst: XorInstance) -> np.ndarray:
 
 
 def _brute_scan(inst: XorInstance) -> np.ndarray:
-    """Signed clause objective of every assignment, as an int32 table.
+    """Signed clause objective of every assignment, as a table of the narrowest signed type.
 
     Assignment a encodes x_i = -1 iff bit i-1 of a is set. The objective is
     one Walsh-Hadamard transform of the clause-mask histogram weighted by
-    rhs; |objective| <= m keeps it exact in int32.
+    rhs. The histogram's cells sum to at most m in absolute value, and every
+    value the transform holds, after any stage, is a +-1-weighted sum of
+    those cells, so a type that holds -m..m keeps it exact: int8 up to
+    m = 127, int16 up to 32,767.
     """
-    table = np.zeros(1 << inst.n, dtype=np.int32)
+    table = np.zeros(1 << inst.n, dtype=np.min_scalar_type(-1 - inst.m))
     np.add.at(table, _clause_masks(inst), inst.rhs)
-    return walsh_hadamard(table)
+    return fourier.walsh_hadamard(table)
+
+
+def _sign_columns(bits: int) -> np.ndarray:
+    """The 2^bits x (bits + 1) float64 matrix [1, (-1)^{bit j of row}] over j < bits."""
+    rows = np.arange(1 << bits)[:, None]
+    signs = np.ones((1 << bits, bits + 1))
+    signs[:, 1:] -= 2 * ((rows >> np.arange(bits)) & 1)
+    return signs
 
 
 def check_brute_n(n: int):
@@ -179,20 +191,45 @@ def check_moment_n(n: int):
 
 
 def _brute_backend(inst: XorInstance) -> PseudoExpectation:
+    """Exact moments of the uniform distribution over the argmax set.
+
+    The moments are sums over the argmax set of 1, x_i and x_i x_j, divided
+    by its size. With the table read as a 2^H x 2^L grid (L = n // 2 low
+    bits index the columns, H = n - L high bits the rows) and X_L, X_H the
+    _sign_columns of each half, one pass over the grid, _WHT_BLOCK entries
+    at a time, accumulates G = 1[grid == best] X_L and the indicator's
+    column sums c. Then X_L^T diag(c) X_L holds the count, the low bits'
+    sums and the low-low pairs; X_H^T G the high bits' sums and the
+    high-low pairs; X_H^T diag(G[:, 0]) X_H the high-high pairs. Every term
+    and partial sum of these products is an integer of magnitude at most
+    2^n <= 2^26, exact in float64 whatever order BLAS sums in, so each
+    moment is that integer divided by the count, as a transform of the
+    indicator would give it, in O(2^n n / 2) time whatever the count.
+    """
     check_brute_n(inst.n)
-    table = _brute_scan(inst)
-    best = int(table.max())
-    # Moments of the uniform distribution over the argmax set are the Walsh
-    # coefficients of its indicator at masks {i} and {i, j}; transforming the
-    # indicator in place keeps memory at the table however large the set is.
-    np.equal(table, best, out=table)
-    walsh_hadamard(table)
-    count = int(table[0])
-    bits = 1 << np.arange(inst.n)
-    mu1 = table[bits] / count
-    m2 = table[bits[:, None] ^ bits] / count
+    n = inst.n
+    low = n // 2
+    grid = _brute_scan(inst).reshape(-1, 1 << low)
+    best = int(grid.max())
+    x_low, x_high = _sign_columns(low), _sign_columns(n - low)
+    g = np.empty((grid.shape[0], low + 1))
+    cols = np.zeros(1 << low)
+    step = max(1, fourier._WHT_BLOCK >> low)
+    hits = np.empty((min(step, grid.shape[0]), 1 << low))
+    for r in range(0, grid.shape[0], step):
+        part = hits[: grid.shape[0] - r]
+        np.equal(grid[r:r + step], best, out=part)
+        np.matmul(part, x_low, out=g[r:r + step])
+        cols += part.sum(axis=0)
+    # sums[s, t] is the sum over the argmax set of y_s y_t, y = (1, x_1, ..., x_n).
+    sums = np.empty((n + 1, n + 1))
+    sums[: low + 1, : low + 1] = x_low.T @ (cols[:, None] * x_low)
+    sums[low + 1:, : low + 1] = x_high[:, 1:].T @ g
+    sums[: low + 1, low + 1:] = sums[low + 1:, : low + 1].T
+    sums[low + 1:, low + 1:] = x_high[:, 1:].T @ (g[:, :1] * x_high[:, 1:])
+    count = int(sums[0, 0])
     return PseudoExpectation(
-        inst.n, mu1, m2, backend="brute",
+        n, sums[0, 1:] / count, sums[1:, 1:] / count, backend="brute",
         info={"objective": best, "argmax_count": count},
     )
 

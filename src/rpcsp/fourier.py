@@ -26,11 +26,16 @@ from .instances import PlantingDistribution, atomic_write_text, pattern_index
 # coefficients sitting exactly at the threshold are accepted despite float
 # rounding in the transform.
 THRESHOLD_GUARD = 1e-14
-# walsh_hadamard works in blocks of this many entries: 1 MB of int32 (2 MB of
-# float64), whose 1.5 MB of int32 working set fits a 2 MB per-core L2. On one
-# 2-core machine (NumPy 2.4.6), a 2^20 int32 transform took 15.4, 13.3, 14.1,
-# 19.4 and 27.5 ms at blocks of 2^16 ... 2^20, and a 2^24 one 265 ms at 2^17
-# and 252 ms at 2^18.
+# walsh_hadamard works in blocks of this many entries: 512 KB of int16, 1 MB
+# of int32 (2 MB of float64), whose 1.5-block working set fits a 2 MB per-core
+# L2 up to int32. On one 2-core machine (NumPy 2.4.6), a 2^20 transform took,
+# at blocks of 2^16, 2^17, 2^18, 2^19 and 2^20 entries:
+#   int8     8.0   6.7   6.0   5.5   5.4 ms
+#   int16   10.7   9.1   7.1   8.4  11.3 ms
+#   int32   13.3  12.1  11.7  17.0  22.9 ms
+#   float64 24.0  23.2  30.6  38.9  37.4 ms
+# and a 2^24 one at 2^18 took 103 (int8), 152 (int16), 273 (int32) and
+# 638 ms (float64).
 _WHT_BLOCK = 1 << 18
 
 

@@ -190,6 +190,10 @@ def check_eps(eps: float):
         raise ParameterError("eps must lie in (0, 1/2]")
 
 
+# sample_planted_xor draws and applies its noise this many clauses at a time.
+_NOISE_BLOCK = 1 << 16
+
+
 def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int) -> XorInstance:
     """Planted noisy k-XOR.
 
@@ -208,10 +212,13 @@ def sample_planted_xor(x_star: Assignment, m: int, k: int, eps: float, seed: int
     check_eps(eps)
     seed = check_seed(seed)
     scopes = derived_rng(seed, STREAM_SCOPES).integers(1, n + 1, size=(m, k), dtype=np.int64)
-    u = derived_rng(seed, STREAM_NOISE).random(m)
-    planted = _products(x_star, scopes)
-    flip = u >= 0.5 + eps
-    rhs = np.where(flip, -planted, planted).astype(np.int8)
+    rhs = _products(x_star, scopes)
+    # One uniform draw per clause, _NOISE_BLOCK at a time: drawn in blocks,
+    # the stream is the one a single draw of m gives, so the noise is too.
+    noise = derived_rng(seed, STREAM_NOISE)
+    for start in range(0, m, _NOISE_BLOCK):
+        part = rhs[start:start + _NOISE_BLOCK]
+        part *= 1 - 2 * (noise.random(part.size) >= 0.5 + eps)
     return XorInstance(n, k, scopes, rhs)
 
 

@@ -22,7 +22,7 @@ from rpcsp import (
 from rpcsp.fourier import distribution_complexity, fourier_table
 from rpcsp.kikuchi import RITZ_STRIDE, KikuchiMatrix
 from rpcsp.reduction import build_xor_side
-from rpcsp.rng import STREAM_PAIRING, cell_seed, derived_rng
+from rpcsp.rng import STREAM_NOISE, STREAM_PAIRING, STREAM_SCOPES, cell_seed, derived_rng
 
 
 def enumerate_assignments(n):
@@ -125,6 +125,16 @@ def naive_majority(inst, x_tilde):
             voted[np.array(row) - 1] = True
     majority = np.where(naive_vote_sums(inst, x_tilde) >= 0, 1, -1)
     return np.where(voted, majority, x_tilde).astype(np.int8)
+
+
+def whole_draw_planted_xor(x_star, m, k, eps, seed):
+    """sample_planted_xor with all m noise uniforms drawn at once and applied by np.where."""
+    n = x_star.size
+    scopes = derived_rng(seed, STREAM_SCOPES).integers(1, n + 1, size=(m, k), dtype=np.int64)
+    u = derived_rng(seed, STREAM_NOISE).random(m)
+    planted = np.prod(x_star[scopes - 1].astype(np.int64), axis=1)
+    rhs = np.where(u >= 0.5 + eps, -planted, planted).astype(np.int8)
+    return XorInstance(n, k, scopes, rhs)
 
 
 def naive_clean(inst):

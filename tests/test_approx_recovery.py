@@ -32,6 +32,7 @@ from rpcsp.approx_recovery import (
     BRUTE_MAX_N,
     DEFAULT_MOMENT_BYTES,
     RITZ_RTOL,
+    _brute_scan,
     _pair_weights,
     _unit_gram,
     round_even_detail,
@@ -103,23 +104,36 @@ def test_expectation_helpers():
 # ----------------------------------------------------------------- brute force
 
 def test_brute_moments_match_enumeration():
-    for trial in range(10):
+    for trial, n in enumerate((1, 2, 3, 6, 7, 8, 9, 10, 11, 12)):
         seed = cell_seed(400, trial)
-        k = (2, 3, 4)[trial % 3]
-        n = 6 + trial % 5
-        inst = _random_signs_instance(n, 4 * n, k, seed)
+        k = min((2, 3, 4)[trial % 3], n)
+        # Two clauses leave a large argmax set; 4n usually a small one.
+        inst = _random_signs_instance(n, (4 * n, 2)[trial % 2], k, seed)
         pe = solve_pseudo_expectation(inst, BackendChoice.brute(), seed)
         rows = brute_argmax_rows(inst).astype(float)
         assert pe.info["argmax_count"] == len(rows)
-        assert np.allclose(pe.mu1, rows.mean(axis=0), atol=1e-12)
-        second = (rows[:, :, None] * rows[:, None, :]).mean(axis=0)
-        assert np.allclose(pe.m2, second, atol=1e-12)
+        # Both sides divide the same integer sums by the same count.
+        assert np.array_equal(pe.mu1, rows.mean(axis=0)), n
+        assert np.array_equal(pe.m2, (rows[:, :, None] * rows[:, None, :]).mean(axis=0)), n
 
 
 def test_brute_moments_match_enumeration_across_blocks(monkeypatch):
-    # 16-entry blocks: the 2^6..2^10 tables cross blocks in both transforms.
+    # 16-entry blocks: tables above 2^4 cross blocks in the transform, and
+    # the moment pass reads 16 entries, or one row of the grid, at a time.
     monkeypatch.setattr("rpcsp.fourier._WHT_BLOCK", 16)
     test_brute_moments_match_enumeration()
+
+
+@pytest.mark.parametrize("m, dtype", [(127, np.int8), (128, np.int16),
+                                      (32_767, np.int16), (32_768, np.int32)])
+def test_brute_table_is_the_narrowest_type_holding_m(m, dtype):
+    # m copies of one clause: the objective reaches m, which one step
+    # narrower would wrap.
+    inst = XorInstance(3, 3, np.tile(np.array([[1, 2, 3]], dtype=np.int64), (m, 1)),
+                       np.ones(m, dtype=np.int8))
+    assert _brute_scan(inst).dtype == dtype
+    pe = solve_pseudo_expectation(inst, BackendChoice.brute(), 0)
+    assert pe.info == {"objective": m, "argmax_count": 4}
 
 
 def test_brute_objective_matches_enumeration():

@@ -148,12 +148,21 @@ def wht_block(request, monkeypatch):
 
 def _random_table(k, dtype, seed):
     rng = np.random.default_rng(seed)
+    if dtype == np.float64:
+        return rng.standard_normal(1 << k)
     if dtype == np.int32:
         return rng.integers(-1000, 1001, size=1 << k).astype(np.int32)
-    return rng.standard_normal(1 << k)
+    # A narrow type gets as many +-1 steps, at random cells, as its maximum:
+    # the cells' absolute values sum to at most that, as a brute histogram's
+    # do to m, so every value the transform holds fits.
+    steps = np.iinfo(dtype).max
+    f = np.zeros(1 << k, dtype=dtype)
+    np.add.at(f, rng.integers(0, 1 << k, size=steps),
+              rng.choice(np.array([-1, 1], dtype=dtype), size=steps))
+    return f
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.float64])
 def test_walsh_hadamard_gives_the_textbook_bits(wht_block, dtype):
     for k in range(17):
         f = _random_table(k, dtype, k)
@@ -163,27 +172,29 @@ def test_walsh_hadamard_gives_the_textbook_bits(wht_block, dtype):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.float64])
 def test_walsh_hadamard_is_the_sylvester_product(wht_block, dtype):
     for k in range(11):
         f = _random_table(k, dtype, 100 + k)
         want = sylvester_hadamard(k) @ f
         got = walsh_hadamard(f.copy())
-        if dtype == np.int32:
+        if dtype != np.float64:
+            assert got.dtype == dtype
             assert np.array_equal(got, want), k
         else:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-9), k
 
 
-def test_walsh_hadamard_scratch_is_one_and_a_half_blocks():
-    f = _random_table(22, np.int32, 7)
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_walsh_hadamard_scratch_is_one_and_a_half_blocks(dtype):
+    f = _random_table(22, dtype, 7)
     tracemalloc.start()
     try:
         walsh_hadamard(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 16 MB transformed in 1.5 MB of scratch, plus the ufunc buffers NumPy
+    # A 2^22 table transformed in 1.5 blocks of scratch, plus the ufunc buffers NumPy
     # takes on short runs (one per operand) and room for its views.
     assert peak <= 1.5 * _WHT_BLOCK * f.itemsize + 3 * np.getbufsize() * f.itemsize + 16384
 

@@ -15,6 +15,7 @@ from _oracles import (
     naive_write_assignment,
     naive_write_csp,
     naive_write_xor,
+    whole_draw_planted_xor,
 )
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,7 @@ from rpcsp import (
 )
 from rpcsp.instances import (
     _INT64,
+    _NOISE_BLOCK,
     _READ_BLOCK,
     _WRITE_CHUNK_ROWS,
     _all_pm1,
@@ -281,6 +283,36 @@ def test_sample_planted_xor_flip_rate_matches_eps():
     agree = (inst.clause_products(x) == inst.rhs).mean()
     se = np.sqrt(0.25 / m)
     assert abs(agree - (0.5 + eps)) < 4 * se
+
+
+# Default-sized noise blocks, and 7-clause ones, which put most m through
+# several blocks and a short last one.
+@pytest.fixture(params=[None, 7], ids=["default-block", "block-7"])
+def noise_block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr("rpcsp.instances._NOISE_BLOCK", request.param)
+
+
+@pytest.mark.parametrize("m, k, eps, seed", [
+    (1, 1, 0.5, 0),
+    (1000, 3, 0.1, 4),
+    (1 << 16, 4, 0.4, 7),
+    ((3 << 16) + 5, 2, 0.25, 1),
+])
+def test_sample_planted_xor_matches_one_whole_noise_draw(noise_block, m, k, eps, seed):
+    x = random_assignment(40, seed)
+    got = sample_planted_xor(x, m, k, eps, seed)
+    want = whole_draw_planted_xor(x, m, k, eps, seed)
+    assert np.array_equal(got.scopes, want.scopes)
+    assert got.rhs.dtype == np.int8 and got.rhs.tobytes() == want.rhs.tobytes()
+
+
+def test_sample_planted_xor_holds_its_output_and_a_few_blocks():
+    x = random_assignment(300, 1)
+    inst, peak = _peak(lambda: sample_planted_xor(x, 1_000_000, 2, 0.25, 1))
+    # Drawing the noise whole took the output plus 12 bytes a clause; now two
+    # int8 products and a few noise blocks of float64 and int64 remain.
+    assert peak <= inst.scopes.nbytes + inst.rhs.nbytes + 2 * inst.m + 4 * _NOISE_BLOCK * 8
 
 
 def test_sample_planted_xor_rejects_bad_eps():
