@@ -42,10 +42,10 @@ PSD_TOL = 1e-8
 AGREEMENT_FRACTION = 0.99
 # kikuchi_spectral stops once its Ritz residual is below this share of the top eigenvalue.
 RITZ_RTOL = 1e-8
-# brute transforms a 2^n table of the narrowest type holding +-m, 128 MB of
-# int16 at n = 26 for m < 32,768; an n = 26 solve_xor (3-XOR, m = 400) takes
-# 0.9-1.7 s and peaks at 194 MB RSS, 59 MB of it before the solve (2 cores,
-# NumPy 2.4.6).
+# brute transforms a 2^n table of the narrowest type holding +-m: at n = 26,
+# 128 MB of int16 for 128 <= m < 32,768. An n = 26 solve_xor (3-XOR,
+# m = 400) takes 0.8-1.7 s and peaks at 194 MB RSS, 59 MB of it before the
+# solve (2 cores, NumPy 2.4.6).
 BRUTE_MAX_N = 26
 # Bytes of one dense n x n float64 moment matrix for sdp_basic and
 # kikuchi_spectral: 2^27 admits n <= 4,096. A solve holds a few such
