@@ -536,7 +536,7 @@ def _format_rows(rows: np.ndarray, signed) -> bytes:
     by spaces and each row ends in a newline. Each value gets a cell of
     width + 2 bytes: a sign slot, `width` digit slots filled right to left and
     a separator. Slots the text leaves out (an omitted "+", leading zeros)
-    hold 0, and one mask drops them.
+    hold 0, and one byte filter drops them.
     """
     top = max(int(rows.max()), -int(rows.min()))
     width = len(str(top))
@@ -554,7 +554,7 @@ def _format_rows(rows: np.ndarray, signed) -> bytes:
         mag = q
     buf[..., -1] = ord(" ")
     buf[:, -1, -1] = ord("\n")
-    return buf[buf != 0].tobytes()
+    return buf.tobytes().translate(None, b"\0")
 
 
 def _write_rows(path: str, header: str, m: int, rows_of: Callable[[slice], np.ndarray], signed):

@@ -15,12 +15,15 @@ the copies of a set and one bincount sums their rhs. Each surviving set then
 emits its D entries at once: row rank S = A + W and column rank T = B + W
 for each half split (A, B) and pad W outside the set, both enumerated in
 colex order. No (S, T) arises twice, because (set, split, pad) -> (S, T) is
-injective: C = S xor T, then A = S & C and W = S - C. Ranks are int32, the
-CSR's index type, as C(n, l) <= DEFAULT_VERTEX_CAP < 2^31. Entries are
-float64, the type Lanczos multiplies with, so no caller copies the matrix;
-each is an integer rhs sum below DEFAULT_ENTRY_CAP in magnitude, exact in
-float64. DEFAULT_ENTRY_CAP bounds used clauses times D before any per-entry
-array exists.
+injective: C = S xor T, then A = S & C and W = S - C. So nothing is summed
+or sorted: one counting pass puts the entries in rows, with each row's
+columns in emission order, and a counting transpose sorts them; A is
+symmetric, so the transpose's arrays are the sorted CSR of A. Ranks are
+int32, the CSR's index type, as C(n, l) <= DEFAULT_VERTEX_CAP < 2^31. Entries
+are float64, the type Lanczos multiplies with, so no caller copies the
+matrix; each is an integer rhs sum below DEFAULT_ENTRY_CAP in magnitude, exact
+in float64. DEFAULT_ENTRY_CAP bounds used clauses times D before any
+per-entry array exists.
 
 For z_S = prod_{i in S} x_i the quadratic form collapses to
 
@@ -47,8 +50,8 @@ from .rng import STREAM_SPECTRAL, check_seed, derived_rng
 # The most vertices, C(n, l), that build_kikuchi accepts.
 # It is below 2^31, so every vertex rank fits the int32 indices CSR keeps.
 DEFAULT_VERTEX_CAP = 5_000_000
-# build_kikuchi peaks at about 18 traced bytes per stored entry and returns
-# 12 (int32 index, float64 value), so the cap keeps a build under about 1 GB.
+# build_kikuchi peaks at about 15.5 traced bytes per stored entry and returns
+# 12 (int32 index, float64 value), so the cap keeps a build under about 800 MB.
 DEFAULT_ENTRY_CAP = 50_000_000
 # Bytes of _lanczos's steps x dim float64 basis: 2^30 admits 200 steps (the
 # kikuchi_spectral default) to 671,088 vertices, the certificate to 571,139.
@@ -101,8 +104,15 @@ def all_subsets(n: int, ell: int) -> np.ndarray:
     Row r therefore has colex rank r. The table is built level by level from
     the empty set: the j-subsets with largest element e hold colex ranks
     C(e, j) .. C(e + 1, j) - 1, and they are the first C(e, j - 1) rows of the
-    level-(j - 1) table with e appended.
+    level-(j - 1) table with e appended. Above l = n/2 the levels would pass
+    through C(n, n/2) rows, so the rows are instead the complements of the
+    (n - l)-subsets, read backwards: complementing reverses colex order.
     """
+    if 2 * ell > n:
+        comp = all_subsets(n, n - ell)
+        keep = np.ones((len(comp), n), dtype=bool)
+        keep[np.arange(len(comp))[:, None], comp] = False
+        return np.nonzero(keep[::-1])[1].reshape(-1, ell)
     subs = np.zeros((1, 0), dtype=np.int64)
     for j in range(1, ell + 1):
         top = np.arange(j - 1, n)
@@ -118,24 +128,33 @@ def _union_rank(a: list, w: list, table: np.ndarray) -> np.ndarray:
 
     a and w list the sets' elements by position, as broadcastable arrays of
     table's dtype. An element's position in the sorted union is its own index
-    plus the number of smaller elements in the other set, so no per-row sort
-    is needed. The sets are disjoint, so A_i's count is |W| minus the W_j
-    above it. Comparisons are redone per element rather than kept, so the
-    full-shape temporaries are the rank, one index array and one gather.
+    plus the number of smaller elements in the other set. W is sorted, so the
+    W_t above A_i are a final run of t, and A_i's term telescopes over it:
+
+        C(A_i, i+1+#{W_t < A_i}) = C(A_i, i+1+|W|)
+            - sum_t [A_i < W_t] (C(A_i, i+2+t) - C(A_i, i+1+t)),
+
+    and likewise W_t's term is C(W_t, t+1) plus, over the A_i below it, the
+    steps C(W_t, t+2+i) - C(W_t, t+1+i). Every table read is on an operand's
+    own shape; per (i, t) pair the full shape sees one comparison, one
+    subtraction and one masked add into reused buffers. Some reads land on
+    capped table cells. The telescoped identity holds whatever values the
+    cells hold, so under the wrapping integer arithmetic such values cancel
+    exactly modulo 2^32 (for int32); the true rank is below 2^31, so the
+    wrapped sum is the rank.
     """
-    width = table.shape[1]
-    flat = table.ravel()
-    rank = np.zeros(np.broadcast_shapes(*(e.shape for e in a + w)), dtype=table.dtype)
-    for i, e in enumerate(a):
-        idx = np.broadcast_to(e * width + (i + 1 + len(w)), rank.shape).copy()
-        for o in w:
-            idx -= e < o
-        rank += flat[idx]
-    for j, e in enumerate(w):
-        idx = np.broadcast_to(e * width + (j + 1), rank.shape).copy()
-        for o in a:
-            idx += o < e
-        rank += flat[idx]
+    rank = np.empty(np.broadcast_shapes(*(e.shape for e in a + w)), dtype=table.dtype)
+    abase = sum(table[e, i + 1 + len(w)] for i, e in enumerate(a))
+    wbase = sum(table[e, t + 1] for t, e in enumerate(w))
+    np.add(abase, wbase, out=rank)
+    if a and w:
+        below, step = np.empty(rank.shape, dtype=bool), np.empty_like(rank)
+        for i, ai in enumerate(a):
+            for t, wt in enumerate(w):
+                np.less(ai, wt, out=below)
+                np.subtract(table[wt, t + 2 + i] - table[wt, t + 1 + i],
+                            table[ai, i + 2 + t] - table[ai, i + 1 + t], out=step)
+                np.add(rank, step, out=rank, where=below)
     return rank
 
 
@@ -251,11 +270,19 @@ def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
     small = np.min_scalar_type(-1 - int(np.abs(weights).max(initial=0)))
     data = np.repeat(weights.astype(small), len(splits) * len(pads))
     # No entry repeats: (clause set, split, pad) -> (S, T) is injective, since
-    # S xor T = C, S & C = A and S - C = W. The conversion sums nothing; it
-    # counts the rows and sorts each row's columns.
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices)).tocsr()
-    del ranks, rows, cols, data  # freed before the widening copy, which sets the peak
-    mat.data = mat.data.astype(np.float64)
+    # S xor T = C, S & C = A and S - C = W. So the COO is marked canonical and
+    # tocsr only counts the rows, leaving each row's columns in emission order.
+    # tocsc, a counting transpose, sorts them, and A is symmetric, so the CSC
+    # arrays are the sorted CSR of A. A scipy that ignored the mark would sum
+    # and sort in tocsr: slower, but the same arrays.
+    coo = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
+    coo.has_canonical_format = True
+    mat = coo.tocsr()
+    del coo, ranks, rows, cols, data  # freed before the transpose and the widening copy
+    csc = mat.tocsc()
+    del mat
+    mat = sp.csr_matrix((csc.data.astype(np.float64), csc.indices, csc.indptr),
+                        shape=csc.shape)
     return KikuchiMatrix(inst.n, ell, k, mat, pairs_per_clause, num_vertices,
                          cleaned.m, inst.m - cleaned.m)
 

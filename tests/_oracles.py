@@ -20,7 +20,7 @@ from rpcsp import (
     solve_xor,
 )
 from rpcsp.fourier import distribution_complexity, fourier_table
-from rpcsp.kikuchi import RITZ_STRIDE, KikuchiMatrix
+from rpcsp.kikuchi import RITZ_STRIDE, KikuchiMatrix, subset_rank
 from rpcsp.reduction import build_xor_side
 from rpcsp.rng import STREAM_NOISE, STREAM_PAIRING, STREAM_SCOPES, cell_seed, derived_rng
 
@@ -270,6 +270,18 @@ def _pairwise_union_rank(a, w, table):
             pos = i + 1 + sum(o < e for o in other)
             rank = rank + flat.take(e * width + pos)
     return rank
+
+
+def sorted_union_rank(a, w, n):
+    """Colex rank of each union of A and W by a per-entry np.sort and exact int64 binomials.
+
+    a and w list broadcastable arrays of elements below n, as _union_rank takes them.
+    """
+    elems = np.stack(np.broadcast_arrays(*a, *w), axis=-1).astype(np.int64)
+    ell = elems.shape[-1]
+    table = np.array([[math.comb(v, j) for j in range(ell + 1)] for v in range(n + 1)],
+                     dtype=np.int64)
+    return subset_rank(np.sort(elems, axis=-1), table)
 
 
 def lexsort_kikuchi(inst, ell):

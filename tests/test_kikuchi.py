@@ -14,6 +14,7 @@ from _oracles import (
     lexsort_kikuchi,
     naive_kikuchi,
     naive_pair_gram,
+    sorted_union_rank,
     top_lanczos,
 )
 from rpcsp import (
@@ -46,6 +47,7 @@ from rpcsp.kikuchi import (
     _union_rank,
 )
 from rpcsp.rng import cell_seed, derived_rng
+from scipy.sparse._compressed import _cs_matrix
 
 
 def _random_signs_instance(n, m, k, seed):
@@ -79,6 +81,20 @@ def test_all_subsets_matches_the_itertools_oracle():
             got = all_subsets(n, ell)
             assert got.dtype == np.int64
             assert np.array_equal(got, itertools_colex_subsets(n, ell)), (n, ell)
+
+
+def test_all_subsets_near_n_skips_the_middle_levels():
+    # Level by level, all_subsets(22, 21) passed through the C(22, 11) = 705,432
+    # rows of level 11 (191 MB traced); the complements of the 1-subsets are 22 rows.
+    tracemalloc.start()
+    try:
+        got = all_subsets(22, 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert np.array_equal(got, itertools_colex_subsets(22, 21))
+    assert np.array_equal(all_subsets(40, 38), itertools_colex_subsets(40, 38))
 
 
 # ------------------------------------------------------------------ structure
@@ -189,6 +205,56 @@ def test_union_rank_is_the_rank_of_the_sorted_union(dtype):
                       _comb_table(n, h + q, dtype))
     assert got.dtype == dtype
     assert np.array_equal(got, subset_rank(np.sort(elems, axis=1), _comb_table(n, h + q)))
+
+
+# (|A|, |W|, n): no pad, pads, and ranks below C(40, 32) < 2^31 whose
+# telescoped sums read capped int32 cells such as C(39, 20).
+@pytest.mark.parametrize("h,q,n", [(1, 0, 9), (3, 0, 12), (2, 1, 12), (3, 4, 12), (2, 30, 40)])
+def test_union_rank_matches_the_sorted_union_oracle(h, q, n):
+    rng = derived_rng(cell_seed(313, h, q, n), 0)
+    elems = np.array([rng.choice(n, size=h + q, replace=False) for _ in range(300)])
+    a, w = np.sort(elems[:, :h], axis=1).T, np.sort(elems[:, h:], axis=1).T
+    got = _union_rank(list(a.astype(np.int32)), list(w.astype(np.int32)),
+                      _comb_table(n, h + q, np.int32))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, sorted_union_rank(list(a), list(w), n))
+
+
+def test_build_near_ell_n_matches_the_lexsort_builder():
+    # 630 vertices, but _union_rank reads capped cells of the int32 table
+    # (C(35, 17) and up) on the operand shapes.
+    inst = _random_signs_instance(36, 300, 4, 13)
+    assert math.comb(35, 17) > np.iinfo(np.int32).max
+    got, want = build_kikuchi(inst, 34).matrix, lexsort_kikuchi(inst, 34).matrix
+    assert got.shape == (630, 630) and got.nnz > 0
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_build_kikuchi_neither_sorts_nor_sums_duplicates(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the build sorted or summed the matrix entries")
+
+    inst = _random_signs_instance(12, 300, 4, 15)
+    want = lexsort_kikuchi(inst, 3).matrix
+    monkeypatch.setattr(_cs_matrix, "sum_duplicates", refuse)
+    monkeypatch.setattr(_cs_matrix, "sort_indices", refuse)
+    got = build_kikuchi(inst, 3).matrix
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_build_kikuchi_traced_peak_per_entry():
+    # l = 4: 1,554,150 entries of 12 bytes (int32 index, float64 value) each.
+    inst = _random_signs_instance(30, 1000, 4, 16)
+    tracemalloc.start()
+    try:
+        kik = build_kikuchi(inst, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kik.matrix.nnz > 1_000_000
+    assert peak <= 16 * kik.matrix.nnz
 
 
 @settings(max_examples=200, deadline=None)
@@ -453,6 +519,19 @@ def test_spectral_norm_brackets_the_exact_norm(k, pad, planted):
 
 
 # ------------------------------------------------------------------ refutation
+
+def test_certificate_near_ell_n_bounds_the_exact_certificate():
+    # l = 38 of n = 40: 780 vertices. Level by level, the pads alone passed
+    # through C(36, 18) rows and ran out of memory.
+    inst = _random_signs_instance(40, 300, 4, 14)
+    rep = refute_report(inst, 38, seed=14)
+    want = lexsort_kikuchi(inst, 38)
+    exact = np.abs(np.linalg.eigvalsh(want.matrix.toarray())).max()
+    cert = (exact * want.num_vertices / (inst.m * want.pairs_per_clause)
+            + want.dropped_clauses / inst.m)
+    assert rep.num_vertices == 780 and rep.nnz == want.matrix.nnz
+    assert rep.delta_hat >= cert
+
 
 def test_certificate_dominates_brute_max():
     for trial in range(30):
