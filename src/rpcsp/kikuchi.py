@@ -269,20 +269,18 @@ def build_kikuchi(inst: XorInstance, ell: int) -> KikuchiMatrix:
     # and widened once the CSR exists.
     small = np.min_scalar_type(-1 - int(np.abs(weights).max(initial=0)))
     data = np.repeat(weights.astype(small), len(splits) * len(pads))
-    # No entry repeats: (clause set, split, pad) -> (S, T) is injective, since
-    # S xor T = C, S & C = A and S - C = W. So the COO is marked canonical and
-    # tocsr only counts the rows, leaving each row's columns in emission order.
-    # tocsc, a counting transpose, sorts them, and A is symmetric, so the CSC
-    # arrays are the sorted CSR of A. A scipy that ignored the mark would sum
-    # and sort in tocsr: slower, but the same arrays.
+    # No entry repeats (see the module docstring), so the COO is marked
+    # canonical and tocsr only counts the rows. tocsc, a counting transpose,
+    # sorts each row's columns, and A is symmetric, so the CSC arrays are the
+    # sorted CSR of A. A scipy that ignored the mark would sort in tocsr:
+    # slower, but the same arrays.
     coo = sp.coo_matrix((data, (rows, cols)), shape=(num_vertices, num_vertices))
     coo.has_canonical_format = True
     mat = coo.tocsr()
     del coo, ranks, rows, cols, data  # freed before the transpose and the widening copy
-    csc = mat.tocsc()
-    del mat
-    mat = sp.csr_matrix((csc.data.astype(np.float64), csc.indices, csc.indptr),
-                        shape=csc.shape)
+    mat = mat.tocsc()
+    mat = sp.csr_matrix((mat.data.astype(np.float64), mat.indices, mat.indptr),
+                        shape=mat.shape)
     return KikuchiMatrix(inst.n, ell, k, mat, pairs_per_clause, num_vertices,
                          cleaned.m, inst.m - cleaned.m)
 

@@ -197,27 +197,16 @@ def test_build_kikuchi_all_clauses_dropped_matches_oracle(k):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_union_rank_is_the_rank_of_the_sorted_union(dtype):
-    n, h, q = 12, 2, 3
-    rng = derived_rng(cell_seed(312, h, q), 0)
-    elems = np.array([rng.choice(n, size=h + q, replace=False) for _ in range(200)])
-    a, w = np.sort(elems[:, :h], axis=1), np.sort(elems[:, h:], axis=1)
-    got = _union_rank([c.astype(dtype) for c in a.T], [c.astype(dtype) for c in w.T],
-                      _comb_table(n, h + q, dtype))
-    assert got.dtype == dtype
-    assert np.array_equal(got, subset_rank(np.sort(elems, axis=1), _comb_table(n, h + q)))
-
-
-# (|A|, |W|, n): no pad, pads, and ranks below C(40, 32) < 2^31 whose
-# telescoped sums read capped int32 cells such as C(39, 20).
-@pytest.mark.parametrize("h,q,n", [(1, 0, 9), (3, 0, 12), (2, 1, 12), (3, 4, 12), (2, 30, 40)])
-def test_union_rank_matches_the_sorted_union_oracle(h, q, n):
-    rng = derived_rng(cell_seed(313, h, q, n), 0)
-    elems = np.array([rng.choice(n, size=h + q, replace=False) for _ in range(300)])
-    a, w = np.sort(elems[:, :h], axis=1).T, np.sort(elems[:, h:], axis=1).T
-    got = _union_rank(list(a.astype(np.int32)), list(w.astype(np.int32)),
-                      _comb_table(n, h + q, np.int32))
-    assert got.dtype == np.int32
-    assert np.array_equal(got, sorted_union_rank(list(a), list(w), n))
+    # (|A|, |W|, n): no pad, pads, and ranks below C(40, 32) < 2^31 whose
+    # telescoped sums read capped int32 cells such as C(39, 20).
+    for h, q, n in [(1, 0, 9), (3, 0, 12), (2, 1, 12), (2, 3, 12), (2, 30, 40)]:
+        rng = derived_rng(cell_seed(312, h, q), 0)
+        elems = np.array([rng.choice(n, size=h + q, replace=False) for _ in range(200)])
+        a, w = np.sort(elems[:, :h], axis=1).T, np.sort(elems[:, h:], axis=1).T
+        got = _union_rank(list(a.astype(dtype)), list(w.astype(dtype)),
+                          _comb_table(n, h + q, dtype))
+        assert got.dtype == dtype
+        assert np.array_equal(got, sorted_union_rank(list(a), list(w), n)), (h, q, n)
 
 
 def test_build_near_ell_n_matches_the_lexsort_builder():
